@@ -1,7 +1,7 @@
 """Command-line front end: ``dircover <subcommand> ...``.
 
-Exit codes: 0 success, 1 failed check/verification, 2 parse or usage error,
-3 degenerate input.  ``DS_PRECISION_BITS`` (default 128) controls the
+Exit codes: 0 success, 1 failed check/verification, 2 parse, usage or I/O
+error, 3 degenerate input.  ``DS_PRECISION_BITS`` (default 128) controls the
 precision of the decimal approximations printed for display.
 """
 
@@ -11,14 +11,13 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 import mpmath
 
 from .checks import CheckReport, affine_check, duality_check, oracle_check, pinchasi_check
 from .counterexample import bundle_to_json, construct, read_bundle, verify, write_bundle
 from .errors import DegenerateInputError, DirCoverError, ParseError
-from .field import format_rational
+from .field import approx_real, format_rational
 from .fileio import format_lines, format_points, parse_lines, parse_points
 from .geometry import dual_line_to_point, dual_point_to_line
 from .polygon import (
@@ -48,11 +47,10 @@ def _display_digits() -> int:
     return max(6, round(_precision_bits() * 0.30103))
 
 
-def _approx_str(scalar) -> str:
-    digits = _display_digits()
-    if isinstance(scalar, Fraction):
-        return mpmath.nstr(mpmath.mpf(scalar.numerator) / scalar.denominator, digits)
-    return mpmath.nstr(scalar.approx(_precision_bits()).real, digits)
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _read_text(path: str) -> str:
@@ -142,6 +140,8 @@ def cmd_polygon(args) -> int:
         return 1
     rot = choose_rotation(cfg)
     pts = instantiate_polygon(cfg, rot)
+    bits, digits = _precision_bits(), _display_digits()
+    approx = [[mpmath.nstr(approx_real(s, bits), digits) for s in (p.x, p.y)] for p in pts]
     note = CASE2_NOTE if (not cfg.with_center and cfg.vertices % 2 == 1) else None
     if args.json:
         doc = {
@@ -154,8 +154,8 @@ def cmd_polygon(args) -> int:
             "rotation": {"c": format_rational(rot.c), "s": format_rational(rot.s)},
             "field_order": field_order(cfg.vertices),
             "points": [
-                {"x": str(p.x), "y": str(p.y), "approx": [_approx_str(p.x), _approx_str(p.y)]}
-                for p in pts
+                {"x": str(p.x), "y": str(p.y), "approx": xy}
+                for p, xy in zip(pts, approx)
             ],
         }
         print(json.dumps(doc, indent=2))
@@ -171,10 +171,10 @@ def cmd_polygon(args) -> int:
         print(note)
     print(f"rotation: c = {format_rational(rot.c)}, s = {format_rational(rot.s)}")
     print(f"field order: {field_order(cfg.vertices)}")
-    for i, p in enumerate(pts):
+    for i, (p, (ax, ay)) in enumerate(zip(pts, approx)):
         name = "center" if cfg.with_center and i == len(pts) - 1 else f"v{i}"
         print(f"  {name}: x = {p.x} ; y = {p.y}")
-        print(f"      ~ ({_approx_str(p.x)}, {_approx_str(p.y)})")
+        print(f"      ~ ({ax}, {ay})")
     return 0
 
 
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=42, help="RNG seed for randomized commands")
-    common.add_argument("--trials", type=int, default=None, help="trial count for check suites")
+    common.add_argument("--trials", type=_positive_int, default=None, help="trial count for check suites")
     common.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -321,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", parents=[common], help="randomized property suites")
     p.add_argument("suite", choices=["duality", "pinchasi", "affine", "oracle"])
-    p.add_argument("--size", type=int, default=6, help="points per random set")
-    p.add_argument("--bound", type=int, default=50, help="coordinate magnitude bound")
+    p.add_argument("--size", type=_positive_int, default=6, help="points per random set")
+    p.add_argument("--bound", type=_positive_int, default=50, help="coordinate magnitude bound")
     p.set_defaults(func=cmd_check)
 
     return parser
@@ -332,16 +332,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DegenerateInputError as exc:
         print(f"error: degenerate input: {exc}", file=sys.stderr)
         return 3
-    except DirCoverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (DirCoverError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 import mpmath
 
 from .errors import ParseError
-from .field import CycloElement, euler_phi, format_rational, parse_rational
+from .field import CycloElement, approx_real, euler_phi, format_rational, parse_rational
 from .geometry import NonVerticalLine, concurrent_family, dual_point_to_line
 from .polygon import (
     PolygonConfig,
@@ -171,12 +171,6 @@ class FloatCrosscheck:
         return not self.inconclusive
 
 
-def _scalar_to_float(s) -> float:
-    if isinstance(s, Fraction):
-        return float(s)
-    return float(s.approx(80).real)
-
-
 def float_crosscheck(bundle: CounterexampleBundle, epsilon: float = 1e-6) -> FloatCrosscheck:
     """Approximate stab spectrum from floating intersections, for cross-checks.
 
@@ -188,7 +182,7 @@ def float_crosscheck(bundle: CounterexampleBundle, epsilon: float = 1e-6) -> Flo
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    coeffs = [(_scalar_to_float(line.a), _scalar_to_float(line.b)) for line in bundle.lines]
+    coeffs = [(float(approx_real(line.a, 80)), float(approx_real(line.b, 80))) for line in bundle.lines]
     counts = {len(coeffs)}
     inconclusive: list[float] = []
     for i in range(len(coeffs)):
@@ -216,13 +210,9 @@ def approximate_lines(
     lines: Sequence[NonVerticalLine], digits: int = 12
 ) -> tuple[tuple[str, str], ...]:
     """Decimal renderings of (a, b) per line; display only, never verified against."""
-
-    def render(s) -> str:
-        if isinstance(s, Fraction):
-            return mpmath.nstr(mpmath.mpf(s.numerator) / s.denominator, digits)
-        return mpmath.nstr(s.approx(128).real, digits)
-
-    return tuple((render(line.a), render(line.b)) for line in lines)
+    return tuple(
+        tuple(mpmath.nstr(approx_real(s, 128), digits) for s in (line.a, line.b)) for line in lines
+    )
 
 
 def bundle_to_json(bundle: CounterexampleBundle) -> dict:

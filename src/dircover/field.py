@@ -328,3 +328,14 @@ def zeta(order: int, power: int = 1) -> CycloElement:
     """zeta_n^k as a reduced element of Q(zeta_n)."""
     k = power % order
     return CycloElement(order, [0] * k + [1])
+
+
+def approx_real(value: Union[Fraction, CycloElement], precision_bits: int) -> mpmath.mpf:
+    """The real part of a scalar as an mpmath number; display and cross-checks only.
+
+    A Fraction is divided out at mpmath's working precision; a CycloElement
+    is evaluated by :meth:`CycloElement.approx` at ``precision_bits``.
+    """
+    if isinstance(value, Fraction):
+        return mpmath.mpf(value.numerator) / value.denominator
+    return value.approx(precision_bits).real

@@ -5,13 +5,18 @@ parallel lines covering Q: group the points by "difference parallel to d".
 The spectrum I(Q) collects the group counts over every direction; only the
 finitely many chord directions of Q can yield fewer than |Q| lines, so the
 engine enumerates those and adjoins the generic count |Q| by construction.
+
+One scan over the chords classes them and counts each class's cover lines
+(:func:`pair_directions`); partitions are built only as witnesses, one per
+distinct count.  Distinctness is checked once, in :func:`spectrum` and
+:func:`stab_spectrum`; the helpers assume it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .errors import DegenerateInputError
 from .geometry import (
@@ -50,31 +55,39 @@ class SpectrumReport:
         return sorted(self.counts)
 
 
-def pair_directions(points: Sequence[Point]) -> list[Direction]:
-    """One representative per parallelism class of chord directions.
+def pair_directions(points: Sequence[Point]) -> list[tuple[Direction, int]]:
+    """Each parallelism class of chord directions, with its cover count.
 
-    Pairs are scanned in index order (i, j), i < j, and each class is
-    represented by its first chord.  Rational inputs group by canonical
-    form; cyclotomic inputs, which admit no canonical scaling, fall back to
-    cross-product-zero tests against the representatives found so far.
+    One scan over the pairs (i, j), i < j, in index order represents each
+    class by its first chord.  Rational chords find their class by canonical
+    form; cyclotomic ones, which admit no canonical scaling, by
+    cross-product-zero tests against the representatives so far.  A point on
+    no chord of a class is alone on its cover line, so the count is n minus
+    the class's endpoints plus their distinct keys cross(p, d).
     """
     pts = list(points)
-    if len(pts) < 2:
+    n = len(pts)
+    if n < 2:
         raise DegenerateInputError("need at least 2 points for pair directions")
-    ensure_distinct_points(pts)
-    if all(isinstance(p.x, Fraction) and isinstance(p.y, Fraction) for p in pts):
-        seen: dict[Direction, None] = {}
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                seen.setdefault(Direction.between(pts[i], pts[j]))
-        return list(seen)
+    rational = all(isinstance(p.x, Fraction) for p in pts)
     reps: list[Direction] = []
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
+    ends: list[set[int]] = []
+    index: dict[Direction, int] = {}
+    for i in range(n):
+        for j in range(i + 1, n):
             d = Direction.between(pts[i], pts[j])
-            if all(not d.parallel_to(r) for r in reps):
+            if rational:
+                k = index.setdefault(d, len(reps))
+            else:
+                k = next((m for m, r in enumerate(reps) if d.parallel_to(r)), len(reps))
+            if k == len(reps):
                 reps.append(d)
-    return reps
+                ends.append(set())
+            ends[k].update((i, j))
+    return [
+        (d, n - len(e) + len({pts[i].x * d.dy - pts[i].y * d.dx for i in e}))
+        for d, e in zip(reps, ends)
+    ]
 
 
 def lines_in_direction(points: Sequence[Point], direction: Direction) -> LinePartition:
@@ -84,31 +97,20 @@ def lines_in_direction(points: Sequence[Point], direction: Direction) -> LinePar
     bilinear key cross(p, d) agrees; grouping by that exact key realizes the
     equivalence in a single pass.
     """
-    pts = list(points)
-    if not pts:
-        raise DegenerateInputError("empty point set")
-    ensure_distinct_points(pts)
     groups: dict[object, list[Point]] = {}
     dx, dy = direction.dx, direction.dy
-    for p in pts:
+    for p in points:
         key = p.x * dy - p.y * dx
         groups.setdefault(key, []).append(p)
     return LinePartition(direction, tuple(tuple(g) for g in groups.values()))
 
 
-def generic_direction(
-    points: Sequence[Point], chord_dirs: Optional[Sequence[Direction]] = None
-) -> Direction:
-    """A direction parallel to no chord of the set.
+def generic_direction(chord_dirs: Sequence[Direction]) -> Direction:
+    """A direction parallel to none of the given chord directions.
 
     Tries (1, t) for t = 0, 1, 2, ...; each chord class rules out at most
     one integer t, so at most len(chord_dirs) + 1 candidates are examined.
     """
-    pts = list(points)
-    if len(pts) < 2:
-        return Direction(Fraction(1), Fraction(0))
-    if chord_dirs is None:
-        chord_dirs = pair_directions(pts)
     t = 0
     while True:
         cand = Direction(Fraction(1), Fraction(t))
@@ -118,37 +120,33 @@ def generic_direction(
 
 
 def spectrum(points: Sequence[Point]) -> SpectrumReport:
-    """The direction-cover spectrum I(Q) with a witness partition per count."""
+    """The direction-cover spectrum I(Q) with a witness partition per count.
+
+    Each count's witness is the partition of the first chord class that
+    attains it, so only one partition is built per distinct count.
+    """
     pts = list(points)
     if not pts:
         raise DegenerateInputError("empty point set")
     ensure_distinct_points(pts)
     n = len(pts)
-    counts: set[int] = set()
     witnesses: dict[int, LinePartition] = {}
-    dirs: list[Direction] = []
-    if n >= 2:
-        dirs = pair_directions(pts)
-        for d in dirs:
-            part = lines_in_direction(pts, d)
-            c = len(part.groups)
-            counts.add(c)
-            witnesses.setdefault(c, part)
-    counts.add(n)
+    classes = pair_directions(pts) if n >= 2 else []
+    for d, c in classes:
+        if c not in witnesses:
+            witnesses[c] = lines_in_direction(pts, d)
     if n not in witnesses:
         witnesses[n] = LinePartition(
-            generic_direction(pts, dirs), tuple((p,) for p in pts), generic=True
+            generic_direction([d for d, _ in classes]), tuple((p,) for p in pts), generic=True
         )
-    return SpectrumReport(frozenset(counts), witnesses, vertical_class_count(pts))
+    return SpectrumReport(frozenset(witnesses), witnesses, vertical_class_count(pts))
 
 
 def vertical_class_count(points: Sequence[Point]) -> int:
     """Number of distinct x-coordinates: the cover count of the vertical direction."""
-    pts = list(points)
-    if not pts:
+    if not points:
         raise DegenerateInputError("empty point set")
-    ensure_distinct_points(pts)
-    return len({p.x for p in pts})
+    return len({p.x for p in points})
 
 
 def stab_spectrum(lines: Sequence[NonVerticalLine]) -> frozenset[int]:
@@ -165,11 +163,6 @@ def stab_spectrum(lines: Sequence[NonVerticalLine]) -> frozenset[int]:
     if not fam:
         raise DegenerateInputError("empty line family")
     ensure_distinct_lines(fam)
-    counts = {len(fam)}
-    if len(fam) >= 2:
-        duals = [dual_line_to_point(line) for line in fam]
-        for d in pair_directions(duals):
-            if d.is_vertical:
-                continue
-            counts.add(len(lines_in_direction(duals, d).groups))
-    return frozenset(counts)
+    duals = [dual_line_to_point(line) for line in fam]
+    classes = pair_directions(duals) if len(duals) >= 2 else []
+    return frozenset({len(fam)} | {c for d, c in classes if not d.is_vertical})

@@ -170,6 +170,12 @@ class TestCounterexampleAndVerify:
     def test_n_below_gate(self, capsys):
         assert main(["counterexample", "--n", "5"]) == 2
 
+    def test_unwritable_out_is_io_error(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "b.json"
+        assert main(["counterexample", "--n", "7", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestCheckCommand:
     def test_duality_suite(self, capsys):
@@ -189,6 +195,24 @@ class TestCheckCommand:
 
     def test_affine_suite(self, capsys):
         assert main(["check", "affine", "--trials", "10", "--seed", "2"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "pinchasi", "--trials", "-3"],
+            ["check", "duality", "--trials", "0"],
+            ["check", "oracle", "--bound", "0"],
+            ["check", "affine", "--size", "0"],
+            ["check", "oracle", "--size", "-1"],
+        ],
+    )
+    def test_counts_below_one_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "expected a positive integer" in captured.err
+        assert "RESULT" not in captured.out
 
     def test_reports_are_byte_identical_across_runs(self, capsys):
         main(["check", "duality", "--trials", "50", "--seed", "11"])

@@ -1,6 +1,6 @@
 """Property-based tests for the algebraic and geometric invariants."""
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dircover.field import CycloElement, euler_phi, zeta
@@ -29,6 +29,7 @@ from dircover.spectrum import (
 small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=8)
 coords = st.fractions(min_value=-20, max_value=20, max_denominator=10)
 points = st.builds(Point, coords, coords)
+lattice_points = st.builds(Point, st.integers(-3, 3), st.integers(-3, 3))
 orders = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9, 12])
 
 
@@ -204,11 +205,19 @@ class TestSpectrumInvariants:
         assert spectrum(image).counts == spectrum(pts).counts
 
     @settings(max_examples=60, deadline=None)
+    @given(st.lists(lattice_points, min_size=3, max_size=12, unique=True))
+    def test_ungar_direction_bound(self, pts):
+        # Ungar (1982): n non-collinear points determine at least 2*floor(n/2)
+        # directions, a bound on the class count independent of the counting.
+        assume(not all(collinear(pts[0], pts[1], p) for p in pts[2:]))
+        assert len(pair_directions(pts)) >= 2 * (len(pts) // 2)
+
+    @settings(max_examples=60, deadline=None)
     @given(st.lists(points, min_size=2, max_size=6, unique=True))
     def test_every_chord_direction_collapses_its_pair(self, pts):
-        for d in pair_directions(pts):
+        for d, c in pair_directions(pts):
             part = lines_in_direction(pts, d)
-            assert len(part.groups) <= len(pts) - 1
+            assert len(part.groups) == c <= len(pts) - 1
 
 
 class TestDirectionCanonicalization:

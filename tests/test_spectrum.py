@@ -51,12 +51,11 @@ def sheared_square_points():
 
 class TestPairDirections:
     def test_square_has_four_classes(self):
-        dirs = pair_directions(SQUARE)
-        assert dirs == [
-            Direction(1, 0),
-            Direction(0, 1),
-            Direction(1, 1),
-            Direction(1, -1),
+        assert pair_directions(SQUARE) == [
+            (Direction(1, 0), 2),
+            (Direction(0, 1), 2),
+            (Direction(1, 1), 3),
+            (Direction(1, -1), 3),
         ]
 
     def test_collinear_single_class(self):
@@ -90,8 +89,9 @@ class TestLinesInDirection:
         assert all(len(g) == 1 for g in part.groups)
 
     def test_groups_partition_input(self):
-        for d in pair_directions(SQUARE):
+        for d, c in pair_directions(SQUARE):
             part = lines_in_direction(SQUARE, d)
+            assert len(part.groups) == c
             flat = [p for g in part.groups for p in g]
             assert sorted(flat, key=str) == sorted(SQUARE, key=str)
             assert all(g for g in part.groups)
@@ -131,7 +131,7 @@ class TestSpectrum:
         assert all(len(g) == 1 for g in generic.groups)
         # the synthetic direction really is critical-free
         assert all(
-            not generic.direction.parallel_to(d) for d in pair_directions(SQUARE)
+            not generic.direction.parallel_to(d) for d, _ in pair_directions(SQUARE)
         )
 
     def test_witness_selection_is_first_occurrence(self):
