@@ -1,8 +1,9 @@
 """Command-line front end: ``dircover <subcommand> ...``.
 
 Exit codes: 0 success, 1 failed check/verification, 2 parse, usage or I/O
-error, 3 degenerate input.  ``DS_PRECISION_BITS`` (default 128) controls the
-precision of the decimal approximations printed for display.
+error, 3 degenerate input.  ``DS_PRECISION_BITS`` (default 128, at least 53)
+controls the precision of the decimal approximations printed for display; a
+bad value is replaced, with a warning on stderr.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 import mpmath
 
 from .checks import CheckReport, affine_check, duality_check, oracle_check, pinchasi_check
-from .counterexample import bundle_to_json, construct, read_bundle, verify, write_bundle
+from .counterexample import bundle_to_json, construct, family_config, read_bundle, verify, write_bundle
 from .errors import DegenerateInputError, DirCoverError, ParseError
 from .field import approx_real, format_rational
 from .fileio import format_lines, format_points, parse_lines, parse_points
@@ -36,15 +37,19 @@ _CHECK_DEFAULT_TRIALS = {"duality": 10000, "pinchasi": 1000, "affine": 100, "ora
 
 
 def _precision_bits() -> int:
+    raw = os.environ.get("DS_PRECISION_BITS", "128")
     try:
-        bits = int(os.environ.get("DS_PRECISION_BITS", "128"))
+        bits = int(raw)
     except ValueError:
-        bits = 128
-    return max(53, bits)
+        bits = None
+    if bits is None or bits < 53:
+        bits = 128 if bits is None else 53
+        print(f"warning: DS_PRECISION_BITS={raw!r} is not an integer >= 53; using {bits}", file=sys.stderr)
+    return bits
 
 
-def _display_digits() -> int:
-    return max(6, round(_precision_bits() * 0.30103))
+def _display_digits(bits: int | None = None) -> int:
+    return max(6, round((_precision_bits() if bits is None else bits) * 0.30103))
 
 
 def _positive_int(text: str) -> int:
@@ -140,7 +145,8 @@ def cmd_polygon(args) -> int:
         return 1
     rot = choose_rotation(cfg)
     pts = instantiate_polygon(cfg, rot)
-    bits, digits = _precision_bits(), _display_digits()
+    bits = _precision_bits()
+    digits = _display_digits(bits)
     approx = [[mpmath.nstr(approx_real(s, bits), digits) for s in (p.x, p.y)] for p in pts]
     note = CASE2_NOTE if (not cfg.with_center and cfg.vertices % 2 == 1) else None
     if args.json:
@@ -179,6 +185,9 @@ def cmd_polygon(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    if args.out:  # refuse a bad family or path before any field work; "a" truncates nothing
+        family_config(args.n, args.variant)
+        open(args.out, "a", encoding="utf-8").close()
     bundle = construct(args.n, variant=args.variant)
     cert = bundle.certificate
     if args.out:
@@ -216,9 +225,8 @@ def cmd_verify(args) -> int:
         print(f"pairwise non-parallel: FAIL (lines {rep.parallel_witness})")
     if rep.nonconcurrent:
         print("non-concurrent: ok")
-    else:
-        where = f" at {rep.concurrency_witness}" if rep.concurrency_witness else ""
-        print(f"non-concurrent: FAIL (common point{where})")
+    else:  # a bundle's coefficients are cyclotomic, so there is no rational meet point to print
+        print("non-concurrent: FAIL (common point)")
     print("stab spectrum:", " ".join(map(str, sorted(rep.stab_counts))))
     hit = " ".join(map(str, sorted(rep.forbidden_hit))) or "none"
     print(f"forbidden {sorted(rep.forbidden)} hit: {hit}")
@@ -284,43 +292,43 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dircover",
         description="Exact direction-cover spectra, point-line duality, and certified line families.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=42, help="RNG seed for randomized commands")
-    common.add_argument("--trials", type=_positive_int, default=None, help="trial count for check suites")
-    common.add_argument("--json", action="store_true", help="machine-readable output")
+    json_out = argparse.ArgumentParser(add_help=False)
+    json_out.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", parents=[common], help="direction-cover spectrum of a points file")
+    p = sub.add_parser("spectrum", parents=[json_out], help="direction-cover spectrum of a points file")
     p.add_argument("file")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("stab", parents=[common], help="vertical stab count set of a lines file")
+    p = sub.add_parser("stab", parents=[json_out], help="vertical stab count set of a lines file")
     p.add_argument("file")
     p.set_defaults(func=cmd_stab)
 
-    p = sub.add_parser("dualize", parents=[common], help="map a points file to its dual lines file or back")
+    p = sub.add_parser("dualize", help="map a points file to its dual lines file or back")
     p.add_argument("kind", choices=["points", "lines"], help="what the input file contains")
     p.add_argument("input")
     p.add_argument("output", nargs="?", default=None)
     p.set_defaults(func=cmd_dualize)
 
-    p = sub.add_parser("polygon", parents=[common], help="regular polygon spectra and exact coordinates")
+    p = sub.add_parser("polygon", parents=[json_out], help="regular polygon spectra and exact coordinates")
     p.add_argument("--n", type=int, required=True, help="vertex count (>= 3)")
     p.add_argument("--center", action="store_true", help="include the circle center")
     p.set_defaults(func=cmd_polygon)
 
-    p = sub.add_parser("counterexample", parents=[common], help="build and certify an n-line family")
+    p = sub.add_parser("counterexample", parents=[json_out], help="build and certify an n-line family")
     p.add_argument("--n", type=int, required=True, help="number of lines (>= 7)")
     p.add_argument("--variant", choices=["plain", "center"], default="plain")
     p.add_argument("--out", default=None, help="write the bundle JSON to this file")
     p.set_defaults(func=cmd_counterexample)
 
-    p = sub.add_parser("verify", parents=[common], help="re-check a bundle file")
+    p = sub.add_parser("verify", help="re-check a bundle file")
     p.add_argument("file")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("check", parents=[common], help="randomized property suites")
+    p = sub.add_parser("check", parents=[json_out], help="randomized property suites")
     p.add_argument("suite", choices=["duality", "pinchasi", "affine", "oracle"])
+    p.add_argument("--seed", type=int, default=42, help="RNG seed")
+    p.add_argument("--trials", type=_positive_int, default=None, help="trial count (default per suite)")
     p.add_argument("--size", type=_positive_int, default=6, help="points per random set")
     p.add_argument("--bound", type=_positive_int, default=50, help="coordinate magnitude bound")
     p.set_defaults(func=cmd_check)

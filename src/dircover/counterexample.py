@@ -76,6 +76,19 @@ class CounterexampleBundle:
     approx_lines: tuple[tuple[str, str], ...] = field(default_factory=tuple)
 
 
+def family_config(n: int, variant: str = "plain") -> PolygonConfig:
+    """The polygon configuration dual to the n-line family of ``variant``; no field work."""
+    if n < 7:
+        raise ValueError(f"construction needs n >= 7, got {n}")
+    if variant == "plain":
+        return PolygonConfig(n)
+    if variant == "center":
+        if n % 2 == 0:
+            raise ValueError("center variant needs odd n (vertex count n-1 must be even)")
+        return PolygonConfig(n - 1, with_center=True)
+    raise ValueError(f"unknown variant {variant!r}")
+
+
 def construct(n: int, variant: str = "plain") -> CounterexampleBundle:
     """Build and certify the n-line family dual to a polygon configuration.
 
@@ -86,16 +99,7 @@ def construct(n: int, variant: str = "plain") -> CounterexampleBundle:
     and fails for n = 7, where the hexagon-plus-center spectrum {3, 5, 7}
     contains n-2.
     """
-    if n < 7:
-        raise ValueError(f"construction needs n >= 7, got {n}")
-    if variant == "plain":
-        config = PolygonConfig(n)
-    elif variant == "center":
-        if n % 2 == 0:
-            raise ValueError("center variant needs odd n (vertex count n-1 must be even)")
-        config = PolygonConfig(n - 1, with_center=True)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    config = family_config(n, variant)
     rotation = choose_rotation(config)
     points = instantiate_polygon(config, rotation)
     lines = tuple(dual_point_to_line(p) for p in points)
@@ -137,14 +141,13 @@ def verify(
         raise ValueError(f"malformed bundle: mixed coordinate domains {sorted(map(str, domains))}")
     forbidden_set = frozenset(forbidden) if forbidden is not None else frozenset({n - 1, n - 2})
 
+    # Lexicographically first parallel pair: least first index of a repeated slope, its 2nd index.
+    first: dict = {}
     parallel_witness = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            if lines[i].a == lines[j].a:
-                parallel_witness = (i, j)
-                break
-        if parallel_witness:
-            break
+    for j, line in enumerate(lines):
+        i = first.setdefault(line.a, j)
+        if i != j and (parallel_witness is None or i < parallel_witness[0]):
+            parallel_witness = (i, j)
 
     is_concurrent = concurrent_family(lines)
     witness = _meet_point(lines[0], lines[1]) if is_concurrent else None
@@ -250,18 +253,16 @@ def write_bundle(bundle: CounterexampleBundle, path) -> None:
         fp.write("\n")
 
 
-def _parse_coeff_vector(order: int, raw, what: str) -> CycloElement:
-    if not isinstance(raw, list) or len(raw) != euler_phi(order):
-        raise ParseError(f"{what}: expected {euler_phi(order)} coefficients")
-    return CycloElement(order, [parse_rational(str(tok)) for tok in raw])
-
-
 def read_bundle(path) -> CounterexampleBundle:
-    """Load a bundle document; exact data is rebuilt, the stored certificate kept as-is."""
+    """Load what :func:`verify` checks; the stored certificate and decimals are never read.
+
+    The header and the length of every coefficient vector are checked before
+    any field arithmetic, so a crafted document is rejected in linear time.
+    """
     with open(path, "r", encoding="utf-8") as fp:
         try:
             doc = json.load(fp)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
             raise ParseError(f"{path}: invalid JSON ({exc})") from None
     try:
         n = int(doc["n"])
@@ -270,41 +271,24 @@ def read_bundle(path) -> CounterexampleBundle:
             parse_rational(doc["rotation"]["c"]), parse_rational(doc["rotation"]["s"])
         )
         order = int(doc["field_order"])
+        records = [(rec["a"], rec["b"]) for rec in doc["lines"]]
+        if not n == config.total == len(records) or order != field_order(config.vertices):
+            raise ParseError(
+                f"{path}: inconsistent header: n={n}, {len(records)} lines, {config.total} points"
+                f" in the configuration, field_order {order} for {config.vertices} vertices"
+            )
+        phi = euler_phi(order)
+        for i, rec in enumerate(records):
+            for name, raw in zip("ab", rec):
+                if not isinstance(raw, list) or len(raw) != phi:
+                    raise ParseError(f"{path}: line {i} {name}: expected {phi} coefficients")
         lines = tuple(
             NonVerticalLine(
-                _parse_coeff_vector(order, rec["a"], f"line {i} a"),
-                _parse_coeff_vector(order, rec["b"], f"line {i} b"),
+                CycloElement(order, [parse_rational(str(t)) for t in a]),
+                CycloElement(order, [parse_rational(str(t)) for t in b]),
             )
-            for i, rec in enumerate(doc["lines"])
+            for a, b in records
         )
-        approx = tuple((rec["a"], rec["b"]) for rec in doc.get("approx_lines", []))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed bundle document ({exc})") from None
-    cert = None
-    raw_cert = doc.get("certificate")
-    if raw_cert is not None:
-        try:
-            cert = VerificationReport(
-                pairwise_nonparallel=bool(raw_cert["pairwise_nonparallel"]),
-                parallel_witness=tuple(raw_cert["parallel_witness"])
-                if raw_cert.get("parallel_witness")
-                else None,
-                nonconcurrent=bool(raw_cert["nonconcurrent"]),
-                concurrency_witness=tuple(raw_cert["concurrency_witness"])
-                if raw_cert.get("concurrency_witness")
-                else None,
-                stab_counts=frozenset(int(k) for k in raw_cert["stab_counts"]),
-                forbidden=frozenset(int(k) for k in raw_cert["forbidden"]),
-                forbidden_hit=frozenset(int(k) for k in raw_cert["forbidden_hit"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: malformed certificate ({exc})") from None
-    return CounterexampleBundle(
-        n=n,
-        config=config,
-        rotation=rotation,
-        lines=lines,
-        field_order=order,
-        certificate=cert,
-        approx_lines=approx,
-    )
+    return CounterexampleBundle(n=n, config=config, rotation=rotation, lines=lines, field_order=order)

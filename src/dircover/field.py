@@ -91,8 +91,17 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
 
 
 def euler_phi(n: int) -> int:
-    """Euler totient, read off as the degree of Phi_n."""
-    return len(cyclotomic_poly(n)) - 1
+    """Euler totient from the prime factorisation of n, by trial division in O(sqrt(n))."""
+    if n < 1:
+        raise ValueError(f"cyclotomic order must be >= 1, got {n}")
+    phi, p = n, 2
+    while p * p <= n:
+        if n % p == 0:
+            phi -= phi // p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return phi - phi // n if n > 1 else phi
 
 
 def _reduce_mod_cyclo(nums: list[int], modulus: tuple[int, ...]) -> list[int]:

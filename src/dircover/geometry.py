@@ -182,11 +182,8 @@ def concurrent_family(lines: Sequence[NonVerticalLine]) -> bool:
     if len(lines) < 2:
         raise DegenerateInputError("concurrency needs at least 2 lines")
     ensure_distinct_lines(lines)
-    slopes = [line.a for line in lines]
-    for i in range(len(slopes)):
-        for j in range(i + 1, len(slopes)):
-            if slopes[i] == slopes[j]:
-                return False
+    if len({line.a for line in lines}) < len(lines):
+        return False
     duals = [dual_line_to_point(line) for line in lines]
     p0, p1 = duals[0], duals[1]
     return all(collinear(p0, p1, p) for p in duals[2:])

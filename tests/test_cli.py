@@ -170,11 +170,24 @@ class TestCounterexampleAndVerify:
     def test_n_below_gate(self, capsys):
         assert main(["counterexample", "--n", "5"]) == 2
 
-    def test_unwritable_out_is_io_error(self, tmp_path, capsys):
+    def test_unwritable_out_is_io_error(self, tmp_path, capsys, monkeypatch):
+        def no_field_work(*args, **kwargs):
+            raise AssertionError("construct ran before --out was opened")
+
+        monkeypatch.setattr("dircover.cli.construct", no_field_work)
         out = tmp_path / "no-such-dir" / "b.json"
-        assert main(["counterexample", "--n", "7", "--out", str(out)]) == 2
+        assert main(["counterexample", "--n", "48", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["--n", "5"], ["--n", "8", "--variant", "center"]])
+    def test_refused_family_leaves_out_untouched(self, tmp_path, capsys, argv):
+        old = tmp_path / "old.json"
+        old.write_text("kept\n")
+        new = tmp_path / "new.json"
+        assert main(["counterexample", *argv, "--out", str(old)]) == 2
+        assert main(["counterexample", *argv, "--out", str(new)]) == 2
+        assert old.read_text() == "kept\n" and not new.exists()
 
 
 class TestCheckCommand:
@@ -214,6 +227,22 @@ class TestCheckCommand:
         assert "expected a positive integer" in captured.err
         assert "RESULT" not in captured.out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--trials", "5", "f.txt"],
+            ["stab", "--seed", "9", "f.txt"],
+            ["verify", "--json", "b.json"],
+            ["dualize", "--json", "points", "f.txt"],
+            ["polygon", "--n", "7", "--seed", "1"],
+        ],
+    )
+    def test_options_are_accepted_only_where_read(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_reports_are_byte_identical_across_runs(self, capsys):
         main(["check", "duality", "--trials", "50", "--seed", "11"])
         first = capsys.readouterr().out
@@ -234,3 +263,16 @@ class TestPrecisionEnv:
         assert _precision_bits() == 128
         monkeypatch.delenv("DS_PRECISION_BITS")
         assert _precision_bits() == 128
+
+    @pytest.mark.parametrize("value, used", [("junk", "128"), ("10", "53"), ("1.5", "128")])
+    def test_bad_value_warns_once_and_keeps_stdout(self, monkeypatch, capsys, value, used):
+        monkeypatch.setenv("DS_PRECISION_BITS", used)
+        assert main(["polygon", "--n", "9", "--json"]) == 0
+        expected = capsys.readouterr()
+        assert expected.err == ""
+        monkeypatch.setenv("DS_PRECISION_BITS", value)
+        assert main(["polygon", "--n", "9", "--json"]) == 0
+        got = capsys.readouterr()
+        assert got.out == expected.out
+        warnings = got.err.splitlines()
+        assert len(warnings) == 1 and repr(value) in warnings[0] and f"using {used}" in warnings[0]

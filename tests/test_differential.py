@@ -1,19 +1,43 @@
-"""Differential tests of the one-pass spectrum engine against the two-pass one.
+"""Differential tests of the one-pass engines against the earlier ones.
 
-The reference below is the earlier engine, kept here only: it collects one
-representative per chord-direction class first, then builds the full
-parallel cover for every class.  The production engine counts each class
-from its chords in the same scan and builds partitions only as witnesses,
-so counts, witness partitions and stab spectra must agree exactly.
+The spectrum reference below is the earlier engine, kept here only: it
+collects one representative per chord-direction class first, then builds
+the full parallel cover for every class.  The production engine counts each
+class from its chords in the same scan and builds partitions only as
+witnesses, so counts, witness partitions and stab spectra must agree
+exactly.
+
+The certificate references are the earlier O(n^2) slope scans of
+``verify`` (its parallel witness) and of ``concurrent_family``; the
+production code finds both from one pass over the slopes, so the witness
+pair, the concurrency flag and the verdict must agree exactly.
 """
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from dircover.geometry import Direction, Point, dual_point_to_line
-from dircover.polygon import PolygonConfig, choose_rotation, instantiate_polygon
+from dircover.counterexample import (
+    CounterexampleBundle,
+    construct,
+    read_bundle,
+    verify,
+    write_bundle,
+)
+from dircover.errors import DegenerateInputError
+from dircover.geometry import (
+    Direction,
+    NonVerticalLine,
+    Point,
+    collinear,
+    concurrent_family,
+    dual_line_to_point,
+    dual_point_to_line,
+    ensure_distinct_lines,
+)
+from dircover.polygon import PolygonConfig, RationalRotation, choose_rotation, instantiate_polygon
 from dircover.spectrum import LinePartition, spectrum, stab_spectrum
 
 
@@ -106,3 +130,97 @@ def test_agrees_with_two_pass_engine(pts):
     assert rep.vertical_count == vertical
     lines = [dual_point_to_line(p) for p in pts]
     assert stab_spectrum(lines) == two_pass_stab(lines)
+
+
+def double_loop_witness(lines):
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            if lines[i].a == lines[j].a:
+                return (i, j)
+    return None
+
+
+def double_loop_concurrent(lines):
+    if len(lines) < 2:
+        raise DegenerateInputError("concurrency needs at least 2 lines")
+    ensure_distinct_lines(lines)
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            if lines[i].a == lines[j].a:
+                return False
+    duals = [dual_line_to_point(line) for line in lines]
+    return all(collinear(duals[0], duals[1], p) for p in duals[2:])
+
+
+def shared_slope_families():
+    """Distinct rational lines whose slopes come from pools of 1, 2, 3 or many values."""
+    rng = random.Random(20221018)
+    families = []
+    for size in range(2, 21):
+        for pool_size in sorted({1, 2, 3, size}):
+            pool = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(pool_size)]
+            rows = {}
+            while len(rows) < size:
+                b = Fraction(rng.randint(-30, 30), rng.randint(1, 3))
+                rows.setdefault(NonVerticalLine(rng.choice(pool), b))
+            families.append(pytest.param(list(rows), id=f"shared{size}-pool{pool_size}"))
+    return families
+
+
+def concurrent_families():
+    """Lines through one rational point, some with one line moved off it."""
+    rng = random.Random(7)
+    families = []
+    for size in range(2, 13):
+        x0, y0 = Fraction(rng.randint(-5, 5), 2), Fraction(rng.randint(-5, 5), 3)
+        slopes = rng.sample(range(-20, 21), size)
+        lines = [NonVerticalLine(a, -(y0 + a * x0)) for a in slopes]
+        families.append(pytest.param(lines, id=f"concurrent{size}"))
+        if size >= 3:
+            moved = lines[:-1] + [NonVerticalLine(lines[-1].a, lines[-1].b + 1)]
+            families.append(pytest.param(moved, id=f"concurrent{size}-moved"))
+    return families
+
+
+def rational_bundle(lines):
+    return CounterexampleBundle(
+        n=len(lines),
+        config=PolygonConfig(max(3, len(lines))),
+        rotation=RationalRotation.identity(),
+        lines=tuple(lines),
+        field_order=1,
+    )
+
+
+def assert_certificate_agrees(bundle):
+    lines = list(bundle.lines)
+    report = verify(bundle)
+    witness = double_loop_witness(lines)
+    concurrent = double_loop_concurrent(lines)
+    stab = two_pass_stab(lines)
+    assert concurrent_family(lines) == concurrent
+    assert report.parallel_witness == witness
+    assert report.pairwise_nonparallel == (witness is None)
+    assert report.nonconcurrent == (not concurrent)
+    assert report.stab_counts == stab
+    failed = witness is not None or concurrent or stab & {bundle.n - 1, bundle.n - 2}
+    assert report.verdict == ("fail" if failed else "pass")
+
+
+@pytest.mark.parametrize("lines", shared_slope_families() + concurrent_families())
+def test_certificate_agrees_with_double_loops(lines):
+    assert_certificate_agrees(rational_bundle(lines))
+
+
+def test_tampered_bundle_agrees_with_double_loops(tmp_path):
+    # Three slope repeats whose first repeat in index order, (3, 9), is not
+    # the lexicographically first pair, (2, 20).
+    path = tmp_path / "b24.json"
+    write_bundle(construct(24), path)
+    doc = json.loads(path.read_text())
+    for i, j in ((5, 17), (2, 20), (3, 9)):
+        doc["lines"][j]["a"] = doc["lines"][i]["a"]
+    path.write_text(json.dumps(doc))
+    bundle = read_bundle(path)
+    assert double_loop_witness(bundle.lines) == (2, 20)
+    assert_certificate_agrees(bundle)
