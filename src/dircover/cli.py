@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import mpmath
 
@@ -240,36 +241,25 @@ def _spread(total: int, buckets: int) -> list[int]:
 
 
 def cmd_check(args) -> int:
+    if args.size is not None and args.suite in ("duality", "pinchasi"):
+        raise ValueError(f"check {args.suite} does not read --size")
     trials = args.trials if args.trials is not None else _CHECK_DEFAULT_TRIALS[args.suite]
+    cfg = RandomConfig(
+        seed=args.seed, count=trials, size=args.size or RandomConfig.size, coordinate_bound=args.bound
+    )
     if args.suite == "duality":
-        rep = duality_check(
-            RandomConfig(seed=args.seed, count=trials, coordinate_bound=args.bound),
-            engineered=max(1, trials // 10),
-        )
+        rep = duality_check(cfg)
     elif args.suite == "pinchasi":
         rep = CheckReport("pinchasi")
         sizes = list(range(3, 13))
         for size, quota in zip(sizes, _spread(trials, len(sizes))):
             if quota == 0:
                 continue
-            rep.merge(
-                pinchasi_check(
-                    RandomConfig(
-                        seed=args.seed + size,
-                        count=quota,
-                        size=size,
-                        coordinate_bound=args.bound,
-                    )
-                )
-            )
+            rep.merge(pinchasi_check(replace(cfg, seed=args.seed + size, count=quota, size=size)))
     elif args.suite == "affine":
-        rep = affine_check(
-            RandomConfig(seed=args.seed, count=trials, size=args.size, coordinate_bound=args.bound)
-        )
+        rep = affine_check(cfg)
     else:
-        rep = oracle_check(
-            RandomConfig(seed=args.seed, count=trials, size=args.size, coordinate_bound=args.bound)
-        )
+        rep = oracle_check(cfg)
     if args.json:
         print(
             json.dumps(
@@ -329,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=["duality", "pinchasi", "affine", "oracle"])
     p.add_argument("--seed", type=int, default=42, help="RNG seed")
     p.add_argument("--trials", type=_positive_int, default=None, help="trial count (default per suite)")
-    p.add_argument("--size", type=_positive_int, default=6, help="points per random set")
+    p.add_argument("--size", type=_positive_int, help="points per set (affine, oracle; default 6)")
     p.add_argument("--bound", type=_positive_int, default=50, help="coordinate magnitude bound")
     p.set_defaults(func=cmd_check)
 

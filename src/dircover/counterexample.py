@@ -264,12 +264,17 @@ def read_bundle(path) -> CounterexampleBundle:
             doc = json.load(fp)
         except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
             raise ParseError(f"{path}: invalid JSON ({exc})") from None
+
+    def rational(token, where: str) -> Fraction:
+        try:
+            return parse_rational(str(token))
+        except ParseError as exc:
+            raise ParseError(f"{path}: {where}: {exc}") from None
+
     try:
         n = int(doc["n"])
         config = PolygonConfig(int(doc["config"]["vertices"]), bool(doc["config"]["with_center"]))
-        rotation = RationalRotation(
-            parse_rational(doc["rotation"]["c"]), parse_rational(doc["rotation"]["s"])
-        )
+        rotation = RationalRotation(*(rational(doc["rotation"][k], f"rotation {k}") for k in "cs"))
         order = int(doc["field_order"])
         records = [(rec["a"], rec["b"]) for rec in doc["lines"]]
         if not n == config.total == len(records) or order != field_order(config.vertices):
@@ -278,16 +283,16 @@ def read_bundle(path) -> CounterexampleBundle:
                 f" in the configuration, field_order {order} for {config.vertices} vertices"
             )
         phi = euler_phi(order)
+        vectors = []
         for i, rec in enumerate(records):
             for name, raw in zip("ab", rec):
+                where = f"line {i} {name}"
                 if not isinstance(raw, list) or len(raw) != phi:
-                    raise ParseError(f"{path}: line {i} {name}: expected {phi} coefficients")
+                    raise ParseError(f"{path}: {where}: expected {phi} coefficients")
+                vectors.append([rational(t, where) for t in raw])
         lines = tuple(
-            NonVerticalLine(
-                CycloElement(order, [parse_rational(str(t)) for t in a]),
-                CycloElement(order, [parse_rational(str(t)) for t in b]),
-            )
-            for a, b in records
+            NonVerticalLine(CycloElement(order, a), CycloElement(order, b))
+            for a, b in zip(vectors[::2], vectors[1::2])
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed bundle document ({exc})") from None

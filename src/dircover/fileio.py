@@ -39,25 +39,18 @@ def parse_lines(text: str, source: str = "<lines>") -> list[NonVerticalLine]:
     return [NonVerticalLine(a, b) for a, b in _parse_records(text, source)]
 
 
-def _require_rational(value, what: str) -> Fraction:
-    if not isinstance(value, Fraction):
-        raise ValueError(f"{what} files hold rational coordinates only")
-    return value
+def _format_records(records, what: str) -> str:
+    rows = []
+    for record in records:
+        if not all(isinstance(v, Fraction) for v in record):
+            raise ValueError(f"{what} files hold rational coordinates only")
+        rows.append(" ".join(map(format_rational, record)))
+    return "".join(row + "\n" for row in rows)
 
 
 def format_points(points: Sequence[Point]) -> str:
-    rows = [
-        f"{format_rational(_require_rational(p.x, 'points'))} "
-        f"{format_rational(_require_rational(p.y, 'points'))}"
-        for p in points
-    ]
-    return "\n".join(rows) + "\n" if rows else ""
+    return _format_records(((p.x, p.y) for p in points), "points")
 
 
 def format_lines(lines: Sequence[NonVerticalLine]) -> str:
-    rows = [
-        f"{format_rational(_require_rational(line.a, 'lines'))} "
-        f"{format_rational(_require_rational(line.b, 'lines'))}"
-        for line in lines
-    ]
-    return "\n".join(rows) + "\n" if rows else ""
+    return _format_records(((line.a, line.b) for line in lines), "lines")

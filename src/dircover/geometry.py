@@ -78,11 +78,12 @@ class NonVerticalLine:
 class Direction:
     """A line direction: the vector (dx, dy) modulo scaling and sign.
 
-    Rational directions have the canonical form "coprime integers with
-    dx > 0, or (0, 1)", so equal classes compare equal structurally.  In
-    the cyclotomic domain no canonical scaling exists without division,
-    so class membership is always decided by the cross-product predicate
-    (:meth:`parallel_to`), never by structural equality.
+    A rational direction is canonical when it is built: coprime integer
+    components with dx > 0, or (0, 1).  So for rational directions
+    structural equality and hashing mean "parallel".  In the cyclotomic
+    domain no canonical scaling exists without division; the components
+    stay as given and class membership is decided by the cross-product
+    predicate (:meth:`parallel_to`), never by structural equality.
     """
 
     dx: Scalar
@@ -92,36 +93,21 @@ class Direction:
         dx, dy = _unify(self.dx, self.dy)
         if dx == 0 and dy == 0:
             raise DegenerateInputError("zero direction")
+        if isinstance(dx, Fraction):
+            a, b = dx.numerator * dy.denominator, dy.numerator * dx.denominator
+            g = gcd(a, b) if a > 0 or (a == 0 and b > 0) else -gcd(a, b)
+            dx, dy = Fraction(a // g), Fraction(b // g)
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "dy", dy)
 
     @classmethod
     def between(cls, p: Point, q: Point) -> "Direction":
-        """Direction of the segment from p to q, canonicalized when rational."""
-        d = cls(q.x - p.x, q.y - p.y)
-        return d.canonical() if d.is_rational else d
-
-    @property
-    def is_rational(self) -> bool:
-        return isinstance(self.dx, Fraction) and isinstance(self.dy, Fraction)
+        """Direction of the segment from p to q."""
+        return cls(q.x - p.x, q.y - p.y)
 
     @property
     def is_vertical(self) -> bool:
         return self.dx == 0
-
-    def canonical(self) -> "Direction":
-        """Canonical integer form; only the rational domain has one."""
-        if not self.is_rational:
-            raise ValueError("no canonical form without division; use parallel_to")
-        k = self.dx.denominator * self.dy.denominator // gcd(
-            self.dx.denominator, self.dy.denominator
-        )
-        a, b = int(self.dx * k), int(self.dy * k)
-        g = gcd(abs(a), abs(b))
-        a, b = a // g, b // g
-        if a < 0 or (a == 0 and b < 0):
-            a, b = -a, -b
-        return Direction(Fraction(a), Fraction(b))
 
     def parallel_to(self, other: "Direction") -> bool:
         return cross(self.dx, self.dy, other.dx, other.dy) == 0
@@ -154,20 +140,20 @@ def collinear(p: Point, q: Point, r: Point) -> bool:
     return cross(q.x - p.x, q.y - p.y, r.x - p.x, r.y - p.y) == 0
 
 
+def _ensure_distinct(items: Sequence, what: str) -> None:
+    seen: dict = {}
+    for i, item in enumerate(items):
+        j = seen.setdefault(item, i)
+        if j != i:
+            raise DegenerateInputError(f"duplicate {what} at positions {j} and {i}")
+
+
 def ensure_distinct_points(points: Sequence[Point]) -> None:
-    seen: dict[Point, int] = {}
-    for i, p in enumerate(points):
-        if p in seen:
-            raise DegenerateInputError(f"duplicate point at positions {seen[p]} and {i}")
-        seen[p] = i
+    _ensure_distinct(points, "point")
 
 
 def ensure_distinct_lines(lines: Sequence[NonVerticalLine]) -> None:
-    seen: dict[NonVerticalLine, int] = {}
-    for i, line in enumerate(lines):
-        if line in seen:
-            raise DegenerateInputError(f"duplicate line at positions {seen[line]} and {i}")
-        seen[line] = i
+    _ensure_distinct(lines, "line")
 
 
 def concurrent_family(lines: Sequence[NonVerticalLine]) -> bool:

@@ -59,11 +59,11 @@ def pair_directions(points: Sequence[Point]) -> list[tuple[Direction, int]]:
     """Each parallelism class of chord directions, with its cover count.
 
     One scan over the pairs (i, j), i < j, in index order represents each
-    class by its first chord.  Rational chords find their class by canonical
-    form; cyclotomic ones, which admit no canonical scaling, by
-    cross-product-zero tests against the representatives so far.  A point on
-    no chord of a class is alone on its cover line, so the count is n minus
-    the class's endpoints plus their distinct keys cross(p, d).
+    class by its first chord.  Rational chords, canonical when built, find
+    their class by equality; cyclotomic ones, which admit no canonical
+    scaling, by cross-product-zero tests against the representatives so far.
+    A point on no chord of a class is alone on its cover line, so the count
+    is n minus the class's endpoints plus their distinct keys cross(p, d).
     """
     pts = list(points)
     n = len(pts)

@@ -243,6 +243,19 @@ class TestCheckCommand:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suite", ["duality", "pinchasi"])
+    def test_size_is_refused_where_unread(self, suite, capsys):
+        assert main(["check", suite, "--trials", "5", "--size", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: check {suite} does not read --size\n"
+        assert captured.out == ""
+
+    def test_size_is_read_by_affine_and_oracle(self, capsys):
+        for argv, sizes in [([], "2..6"), (["--size", "4"], "2..4")]:
+            assert main(["check", "oracle", "--trials", "5", *argv]) == 0
+            assert f"5 sets of {sizes} points" in capsys.readouterr().out
+        assert main(["check", "affine", "--trials", "5", "--size", "4"]) == 0
+
     def test_reports_are_byte_identical_across_runs(self, capsys):
         main(["check", "duality", "--trials", "50", "--seed", "11"])
         first = capsys.readouterr().out

@@ -226,6 +226,27 @@ class TestBundleIO:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "edit, place, token",
+        [
+            (lambda doc: doc["lines"][0]["a"].__setitem__(0, "0.5"), "line 0 a", "'0.5'"),
+            (lambda doc: doc["lines"][23]["b"].__setitem__(3, "1/0"), "line 23 b", "'1/0'"),
+            (lambda doc: doc["rotation"].update(c="x"), "rotation c", "'x'"),
+            (lambda doc: doc["rotation"].update(s=None), "rotation s", "'None'"),
+        ],
+        ids=["coefficient", "zero_denominator", "rotation", "rotation_not_a_string"],
+    )
+    def test_bad_token_names_file_and_place(self, tmp_path, capsys, edit, place, token):
+        path = tmp_path / "bundle.json"
+        write_bundle(construct(24), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {place}: ") and token in err
+        assert "Traceback" not in err and err.count(str(path)) == 1
+
     def test_crafted_order_is_rejected_before_field_arithmetic(self, tmp_path, capsys):
         # A header-consistent document for Q(zeta_60060) whose vectors are too
         # short: about 300 KB, while Phi_60060 alone takes minutes to compute.

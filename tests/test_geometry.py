@@ -163,14 +163,22 @@ class TestAffine:
 
 class TestDirection:
     def test_canonical_examples(self):
-        assert Direction(2, 4).canonical() == Direction(1, 2)
-        assert Direction(-1, 3).canonical() == Direction(1, -3)
-        assert Direction(0, -5).canonical() == Direction(0, 1)
-        assert Direction(Fraction(1, 2), Fraction(3, 4)).canonical() == Direction(2, 3)
+        # the constructor stores the canonical components
+        for d, (dx, dy) in [
+            (Direction(2, 4), (1, 2)),
+            (Direction(-1, 3), (1, -3)),
+            (Direction(0, -5), (0, 1)),
+            (Direction(Fraction(1, 2), Fraction(3, 4)), (2, 3)),
+        ]:
+            assert (d.dx, d.dy) == (dx, dy)
+            assert d == Direction(dx, dy) and hash(d) == hash(Direction(dx, dy))
+            assert isinstance(d.dx, Fraction) and isinstance(d.dy, Fraction)
 
     def test_canonical_idempotent(self):
-        d = Direction(Fraction(-6, 7), Fraction(2, 3)).canonical()
-        assert d.canonical() == d
+        d = Direction(Fraction(-6, 7), Fraction(2, 3))
+        assert (d.dx, d.dy) == (9, -7)
+        assert Direction(d.dx, d.dy) == d
+        assert Direction.between(Point(0, 0), Point(d.dx, d.dy)) == d
 
     def test_zero_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -182,9 +190,9 @@ class TestDirection:
 
     def test_cyclotomic_has_no_canonical_form(self):
         d = Direction(zeta(5), CycloElement.one(5))
-        with pytest.raises(ValueError):
-            d.canonical()
-        assert d.parallel_to(Direction(zeta(5) * 3, CycloElement.from_rational(5, 3)))
+        scaled = Direction(zeta(5) * 3, CycloElement.from_rational(5, 3))
+        assert (d.dx, d.dy) == (zeta(5), CycloElement.one(5))  # stored as given
+        assert d.parallel_to(scaled) and d != scaled
 
 
 class TestDomains:

@@ -11,6 +11,7 @@ from dircover.geometry import (
     affine_apply,
     collinear,
     concurrent_family,
+    cross,
     dual_line_to_point,
     dual_point_to_line,
     incident,
@@ -227,8 +228,20 @@ class TestDirectionCanonicalization:
         if dx == 0 and dy == 0:
             return
         d = Direction(dx, dy)
-        c = d.canonical()
-        assert c.parallel_to(d)
-        assert c.canonical() == c
-        assert c.dx > 0 or (c.dx == 0 and c.dy == 1)
-        assert c.dx.denominator == 1 and c.dy.denominator == 1
+        assert cross(d.dx, d.dy, dx, dy) == 0
+        assert Direction(d.dx, d.dy) == d
+        assert d.dx > 0 or (d.dx == 0 and d.dy == 1)
+        assert d.dx.denominator == 1 and d.dy.denominator == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(coords, coords, coords, coords, st.booleans(), small_rationals.filter(bool))
+    def test_equality_and_hash_mean_parallel(self, ux, uy, vx, vy, scaled, k):
+        if scaled:  # random pairs are rarely parallel, so half the examples are scaled copies
+            vx, vy = k * ux, k * uy
+        assume((ux, uy) != (0, 0) and (vx, vy) != (0, 0))
+        u, v = Direction(ux, uy), Direction(vx, vy)
+        assert (u == v) == (cross(ux, uy, vx, vy) == 0)
+        assert u != v or hash(u) == hash(v)
+        p, q = Point(ux, uy), Point(vx, vy)
+        if p != q:
+            assert Direction.between(p, q) == Direction.between(q, p)

@@ -12,6 +12,7 @@ from itertools import combinations
 import pytest
 
 from dircover.errors import DegenerateInputError
+from dircover.field import CycloElement
 from dircover.geometry import (
     AffineMap,
     Direction,
@@ -133,6 +134,16 @@ class TestSpectrum:
         assert all(
             not generic.direction.parallel_to(d) for d, _ in pair_directions(SQUARE)
         )
+
+    def test_mixed_domains_match_the_cyclotomic_embedding(self):
+        # Chords between two Fraction points are canonical Directions, the rest are
+        # cyclotomic ones stored as given, so a mixed list must class by parallel_to.
+        hexagon = instantiate_polygon(PolygonConfig(6), RationalRotation.identity())
+        rational = [Point(0, 0), Point(2, 0), Point(Fraction(1, 3), Fraction(-5, 7)), Point(0, 3)]
+        embedded = [Point(*(CycloElement.from_rational(12, s) for s in (p.x, p.y))) for p in rational]
+        mixed, cyclotomic = spectrum(hexagon + rational), spectrum(hexagon + embedded)
+        assert mixed.counts == cyclotomic.counts == {5, 6, 7, 9, 10}
+        assert mixed.vertical_count == cyclotomic.vertical_count
 
     def test_witness_selection_is_first_occurrence(self):
         rep = spectrum(SQUARE)
