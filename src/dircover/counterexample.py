@@ -181,7 +181,9 @@ def float_crosscheck(bundle: CounterexampleBundle, epsilon: float = 1e-6) -> Flo
     values { -(a_i*A + b_i) } at tolerance epsilon and records the cluster
     count; any two values with a gap in [epsilon, 10*epsilon) make that
     abscissa inconclusive (reported, not counted, never an error).  The
-    generic count n is always included.
+    generic count n is always included.  The values are sorted, so the
+    nearest value at least epsilon above each one is found by one forward
+    pass (:func:`_has_ambiguous_gap`).
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -196,17 +198,30 @@ def float_crosscheck(bundle: CounterexampleBundle, epsilon: float = 1e-6) -> Flo
                 continue
             abscissa = (bi - bj) / (aj - ai)
             ys = sorted(-(a * abscissa + b) for a, b in coeffs)
-            ambiguous = any(
-                epsilon <= ys[v] - ys[u] < 10 * epsilon
-                for u in range(len(ys))
-                for v in range(u + 1, len(ys))
-            )
-            if ambiguous:
+            if _has_ambiguous_gap(ys, epsilon):
                 inconclusive.append(abscissa)
                 continue
             clusters = 1 + sum(1 for u in range(1, len(ys)) if ys[u] - ys[u - 1] >= epsilon)
             counts.add(clusters)
     return FloatCrosscheck(frozenset(counts), tuple(inconclusive))
+
+
+def _has_ambiguous_gap(ys: Sequence[float], epsilon: float) -> bool:
+    """Whether two of the sorted values differ by a gap in [epsilon, 10*epsilon).
+
+    Float subtraction is monotone, so for each u the least gap of at least
+    epsilon is to the first such v, and that v never moves back as u grows.
+    """
+    v = 0
+    for u, y in enumerate(ys):
+        v = max(v, u + 1)
+        while v < len(ys) and ys[v] - y < epsilon:
+            v += 1
+        if v == len(ys):
+            return False
+        if ys[v] - y < 10 * epsilon:
+            return True
+    return False
 
 
 def approximate_lines(

@@ -104,14 +104,27 @@ def euler_phi(n: int) -> int:
     return phi - phi // n if n > 1 else phi
 
 
-def _reduce_mod_cyclo(nums: list[int], modulus: tuple[int, ...]) -> list[int]:
-    """In-place remainder of an integer polynomial modulo the monic ``modulus``."""
-    deg = len(modulus) - 1
+@lru_cache(maxsize=None)
+def _cyclotomic_terms(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The degree of Phi_n and its nonzero terms below the leading one, as (index, coeff)."""
+    poly = cyclotomic_poly(n)
+    return len(poly) - 1, tuple((j, c) for j, c in enumerate(poly[:-1]) if c)
+
+
+def _reduce_mod_cyclo(nums: list[int], order: int) -> list[int]:
+    """In-place remainder of an integer polynomial modulo Phi_order.
+
+    Only the nonzero lower terms of Phi_order are subtracted (Phi_24 and
+    Phi_48 have two, Phi_124 has 30); the leading term only clears a
+    coefficient that is dropped anyway.
+    """
+    deg, terms = _cyclotomic_terms(order)
     for i in range(len(nums) - 1, deg - 1, -1):
         c = nums[i]
         if c:
-            for j in range(deg + 1):
-                nums[i - deg + j] -= c * modulus[j]
+            base = i - deg
+            for j, m in terms:
+                nums[base + j] -= c * m
     del nums[deg:]
     while len(nums) < deg:
         nums.append(0)
@@ -135,13 +148,12 @@ class CycloElement:
     __slots__ = ("order", "_num", "_den")
 
     def __init__(self, order: int, coeffs: Iterable[RationalLike]):
-        modulus = cyclotomic_poly(order)
         fracs = [Fraction(c) for c in coeffs]
         den = 1
         for f in fracs:
             den = den * f.denominator // gcd(den, f.denominator)
         nums = [int(f * den) for f in fracs]
-        _reduce_mod_cyclo(nums, modulus)
+        _reduce_mod_cyclo(nums, order)
         norm = CycloElement._normalized(order, nums, den)
         self.order = order
         self._num = norm._num
@@ -236,7 +248,7 @@ class CycloElement:
                 for j, b in enumerate(o._num):
                     if b:
                         prod[i + j] += a * b
-        _reduce_mod_cyclo(prod, cyclotomic_poly(self.order))
+        _reduce_mod_cyclo(prod, self.order)
         return CycloElement._normalized(self.order, prod, self._den * o._den)
 
     __rmul__ = __mul__
@@ -261,7 +273,7 @@ class CycloElement:
         for e, c in enumerate(self._num):
             if c:
                 acc[(n - e) % n] += c
-        _reduce_mod_cyclo(acc, cyclotomic_poly(n))
+        _reduce_mod_cyclo(acc, n)
         return CycloElement._normalized(n, acc, self._den)
 
     def is_zero(self) -> bool:
@@ -279,11 +291,15 @@ class CycloElement:
     def approx(self, precision_bits: int = 53) -> mpmath.mpc:
         """Evaluate the coefficient polynomial at zeta_n = e^(2*pi*i/n).
 
-        Every step is correctly rounded at ``precision_bits`` working
-        precision (plus guard bits), so for coefficients of magnitude at
-        most M the absolute error stays below roughly
-        phi(n) * (M + 2) * 2**(4 - precision_bits).  Display and
-        cross-checks only; predicates never touch this.
+        Horner's rule runs at p = ``precision_bits`` + 10 bits.  Take each
+        mpmath operation, its cos/sin of pi * (2/n) included, to be within
+        one unit in the last place (relative error u = 2**(1 - p)).  With M
+        the sum of the absolute values of the coefficients, every partial
+        sum stays within M, the computed root is within 4u of zeta_n, and
+        each Horner step adds at most 8uM, so the absolute error is at most
+        (8 * phi(n) + 1) * u * M, below :meth:`approx_error`.  Predicates
+        never decide on this value; it only displays, cross-checks and
+        rules chord pairs out (``spectrum.pair_directions``).
         """
         if precision_bits < 53:
             raise ValueError("precision_bits must be >= 53")
@@ -293,6 +309,17 @@ class CycloElement:
             for c in reversed(self._num):
                 acc = acc * root + c
             return acc / self._den
+
+    def approx_error(self, precision_bits: int = 53) -> float:
+        """A bound on ``abs(approx(precision_bits) - self)``: phi(n) * M * 2**(-4 - precision_bits).
+
+        M is the sum of the absolute values of the coefficients.  The bound
+        is over three times the error derived in :meth:`approx`, so
+        rounding it to a float does not undercut it, short of underflow; it
+        raises ``OverflowError`` beyond the float range.
+        """
+        total = sum(abs(v) for v in self._num)
+        return len(self._num) * total / (self._den << (4 + precision_bits))
 
     def __eq__(self, other):
         if isinstance(other, CycloElement):

@@ -8,7 +8,11 @@ engine enumerates those and adjoins the generic count |Q| by construction.
 
 One scan over the chords classes them and counts each class's cover lines
 (:func:`pair_directions`); partitions are built only as witnesses, one per
-distinct count.  Distinctness is checked once, in :func:`spectrum` and
+distinct count.  Every class decision is exact.  For cyclotomic input a
+float cross product with a rigorous error bound first rules out the
+representatives a chord is provably not parallel to, so the exact test
+runs about once per chord; floats never decide that two chords are
+parallel.  Distinctness is checked once, in :func:`spectrum` and
 :func:`stab_spectrum`; the helpers assume it.
 """
 
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
 from typing import Mapping, Sequence
 
 from .errors import DegenerateInputError
@@ -23,6 +28,7 @@ from .geometry import (
     Direction,
     NonVerticalLine,
     Point,
+    Scalar,
     dual_line_to_point,
     ensure_distinct_lines,
     ensure_distinct_points,
@@ -55,23 +61,86 @@ class SpectrumReport:
         return sorted(self.counts)
 
 
+_ROUND = 2.0**-50  # float rounding of a cross product, relative to s1 * s2, twice over
+_TINY = 2.0**-1000  # absolute room for float underflow, far above 2**-1074 per step
+
+_Floats = tuple[float, float, float, float]
+
+
+def _approximate(value: Scalar) -> tuple[float, float]:
+    """A float near an exact scalar and a bound on their distance; (0, inf) past the float range.
+
+    The bound is at least twice what it covers: the float conversion (under
+    one unit in the last place, abs(f) * 2**-52), the error of
+    :meth:`CycloElement.approx` and underflow.
+    """
+    try:
+        if isinstance(value, Fraction):
+            f, err = float(value), 0.0
+        else:
+            f, err = float(value.approx(53).real), value.approx_error(53)
+    except OverflowError:
+        return 0.0, inf
+    return f, err + abs(f) * 2.0**-51 + _TINY
+
+
+def _float_chord(p: _Floats, q: _Floats) -> _Floats:
+    """(dx, dy, s, e) of the chord from p to q, both given as (x, ex, y, ey).
+
+    dx and dy are float differences, s = |dx| + |dy|, and e bounds the error
+    of both components: the endpoints' errors plus the subtraction's
+    rounding, at most 2**-53 * |dx|, twice over.
+    """
+    px, epx, py, epy = p
+    qx, eqx, qy, eqy = q
+    dx, dy = qx - px, qy - py
+    s = abs(dx) + abs(dy)
+    return dx, dy, s, max(epx + eqx, epy + eqy) + s * 2.0**-52
+
+
+def _apart(u: _Floats, v: _Floats) -> bool:
+    """Whether the float cross product proves the chords u and v not parallel.
+
+    The float cross product dx1*dy2 - dy1*dx2 is within
+    s1*e2 + e1*(s2 + 2*e2) of the cross product of the exact components,
+    plus its own rounding, 2**-51 * s1*s2, plus underflow.  Every term of
+    the bound below carries a factor 2 to spare, which covers the rounding
+    in computing the bound.  NaN or infinite values compare false, so they
+    never prove anything.
+    """
+    dx, dy, s, e = u
+    rx, ry, rs, re = v
+    return abs(dx * ry - dy * rx) > s * re + e * (rs + 2 * re) + s * rs * _ROUND + _TINY
+
+
 def pair_directions(points: Sequence[Point]) -> list[tuple[Direction, int]]:
     """Each parallelism class of chord directions, with its cover count.
 
     One scan over the pairs (i, j), i < j, in index order represents each
     class by its first chord.  Rational chords, canonical when built, find
-    their class by equality; cyclotomic ones, which admit no canonical
-    scaling, by cross-product-zero tests against the representatives so far.
-    A point on no chord of a class is alone on its cover line, so the count
-    is n minus the class's endpoints plus their distinct keys cross(p, d).
+    their class by equality.  Cyclotomic ones, which admit no canonical
+    scaling, find it by exact cross-product-zero tests against the
+    representatives so far, each behind a float filter: every coordinate is
+    approximated once, with a rigorous error bound (:func:`_approximate`),
+    and a representative the float cross product proves not parallel
+    (:func:`_apart`) is skipped.  Floats never decide that two chords are
+    parallel; short chords and huge or tiny coordinates get a wide bound
+    and so reach the exact test.
+
+    Within a class, the points on one cover line are pairwise joined by the
+    class's chords, so every point but the first on its line is the second
+    end j of a chord (i, j) of the class, and the count is n minus the
+    number of such second ends.
     """
     pts = list(points)
     n = len(pts)
     if n < 2:
         raise DegenerateInputError("need at least 2 points for pair directions")
     rational = all(isinstance(p.x, Fraction) for p in pts)
+    approx = [] if rational else [(*_approximate(p.x), *_approximate(p.y)) for p in pts]
     reps: list[Direction] = []
-    ends: list[set[int]] = []
+    floats: list[_Floats] = []
+    seconds: list[set[int]] = []
     index: dict[Direction, int] = {}
     for i in range(n):
         for j in range(i + 1, n):
@@ -79,15 +148,18 @@ def pair_directions(points: Sequence[Point]) -> list[tuple[Direction, int]]:
             if rational:
                 k = index.setdefault(d, len(reps))
             else:
-                k = next((m for m, r in enumerate(reps) if d.parallel_to(r)), len(reps))
+                f = _float_chord(approx[i], approx[j])
+                k = next(
+                    (m for m, r in enumerate(floats) if not _apart(f, r) and d.parallel_to(reps[m])),
+                    len(reps),
+                )
+                if k == len(reps):
+                    floats.append(f)
             if k == len(reps):
                 reps.append(d)
-                ends.append(set())
-            ends[k].update((i, j))
-    return [
-        (d, n - len(e) + len({pts[i].x * d.dy - pts[i].y * d.dx for i in e}))
-        for d, e in zip(reps, ends)
-    ]
+                seconds.append(set())
+            seconds[k].add(j)
+    return [(d, n - len(js)) for d, js in zip(reps, seconds)]
 
 
 def lines_in_direction(points: Sequence[Point], direction: Direction) -> LinePartition:
@@ -110,11 +182,16 @@ def generic_direction(chord_dirs: Sequence[Direction]) -> Direction:
 
     Tries (1, t) for t = 0, 1, 2, ...; each chord class rules out at most
     one integer t, so at most len(chord_dirs) + 1 candidates are examined.
+    Rational classes, canonical when built, are parallel to a candidate
+    only when equal to it, so they are looked up in a set; the others are
+    tested exactly.
     """
+    rational = {d for d in chord_dirs if isinstance(d.dx, Fraction)}
+    others = [d for d in chord_dirs if not isinstance(d.dx, Fraction)]
     t = 0
     while True:
         cand = Direction(Fraction(1), Fraction(t))
-        if all(not cand.parallel_to(d) for d in chord_dirs):
+        if cand not in rational and all(not cand.parallel_to(d) for d in others):
             return cand
         t += 1
 

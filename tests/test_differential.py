@@ -7,13 +7,22 @@ class from its chords in the same scan and builds partitions only as
 witnesses, so counts, witness partitions and stab spectra must agree
 exactly.
 
+For cyclotomic input the production scan puts a float filter in front of
+each exact parallelism test.  The reference has no filter, so agreement on
+large polygons, on chords parallel to within 10**-30 and with the filter's
+bound forced to infinity shows that the filter only ever skips tests that
+would have said "not parallel".  The gap scan of ``float_crosscheck`` is
+compared with its earlier double loop.
+
 The certificate references are the earlier O(n^2) slope scans of
 ``verify`` (its parallel witness) and of ``concurrent_family``; the
 production code finds both from one pass over the slopes, so the witness
 pair, the concurrency flag and the verdict must agree exactly.
 """
 
+import importlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -21,12 +30,14 @@ import pytest
 
 from dircover.counterexample import (
     CounterexampleBundle,
+    _has_ambiguous_gap,
     construct,
     read_bundle,
     verify,
     write_bundle,
 )
 from dircover.errors import DegenerateInputError
+from dircover.field import approx_real
 from dircover.geometry import (
     Direction,
     NonVerticalLine,
@@ -38,7 +49,7 @@ from dircover.geometry import (
     ensure_distinct_lines,
 )
 from dircover.polygon import PolygonConfig, RationalRotation, choose_rotation, instantiate_polygon
-from dircover.spectrum import LinePartition, spectrum, stab_spectrum
+from dircover.spectrum import LinePartition, pair_directions, spectrum, stab_spectrum
 
 
 def two_pass_directions(pts):
@@ -71,9 +82,10 @@ def two_pass_generic(dirs):
     return Direction(Fraction(1), Fraction(t))
 
 
-def two_pass_spectrum(pts):
+def two_pass_spectrum(pts, dirs=None):
     witnesses = {}
-    dirs = two_pass_directions(pts) if len(pts) >= 2 else []
+    if dirs is None:
+        dirs = two_pass_directions(pts) if len(pts) >= 2 else []
     for d in dirs:
         part = two_pass_partition(pts, d)
         witnesses.setdefault(len(part.groups), part)
@@ -84,11 +96,11 @@ def two_pass_spectrum(pts):
     return witnesses, len({p.x for p in pts})
 
 
-def two_pass_stab(lines):
+def two_pass_stab(lines, dirs=None):
     duals = [Point(line.a, line.b) for line in lines]
     counts = {len(lines)}
     if len(duals) >= 2:
-        for d in two_pass_directions(duals):
+        for d in two_pass_directions(duals) if dirs is None else dirs:
             if not d.is_vertical:
                 counts.add(len(two_pass_partition(duals, d).groups))
     return frozenset(counts)
@@ -111,25 +123,122 @@ LATTICE = [Point(x, y) for x in range(8) for y in range(8)]
 random.Random(8).shuffle(LATTICE)
 
 
+def polygon(n, center=False):
+    cfg = PolygonConfig(n, center)
+    return instantiate_polygon(cfg, choose_rotation(cfg))
+
+
 def polygons():
-    out = []
-    for n in (7, 8, 12, 13):
-        for center in (False, True):
-            cfg = PolygonConfig(n, center)
-            pts = instantiate_polygon(cfg, choose_rotation(cfg))
-            out.append(pytest.param(pts, id=f"polygon{n}{'c' if center else ''}"))
-    return out
+    return [
+        pytest.param(polygon(n, center), id=f"polygon{n}{'c' if center else ''}")
+        for n in (7, 8, 12, 13, 24, 31, 48)
+        for center in (False, True)
+    ]
 
 
-@pytest.mark.parametrize("pts", random_sets() + [pytest.param(LATTICE, id="lattice8")] + polygons())
-def test_agrees_with_two_pass_engine(pts):
-    witnesses, vertical = two_pass_spectrum(pts)
+def assert_agrees_with_reference(pts):
+    """Spectrum, witnesses, vertical count and the dual family's stab spectrum."""
+    dirs = two_pass_directions(pts)
+    witnesses, vertical = two_pass_spectrum(pts, dirs)
     rep = spectrum(pts)
     assert rep.counts == frozenset(witnesses)
     assert dict(rep.witnesses) == witnesses
     assert rep.vertical_count == vertical
     lines = [dual_point_to_line(p) for p in pts]
-    assert stab_spectrum(lines) == two_pass_stab(lines)
+    assert stab_spectrum(lines) == two_pass_stab(lines, dirs)
+    return rep
+
+
+@pytest.mark.parametrize("pts", random_sets() + [pytest.param(LATTICE, id="lattice8")] + polygons())
+def test_agrees_with_two_pass_engine(pts):
+    assert_agrees_with_reference(pts)
+
+
+def test_sub_float_perturbation_is_decided_exactly():
+    # Moving one vertex by 10**-30 leaves its chords parallel to their old
+    # classes as far as floats can tell; only the exact test splits them.
+    pts = polygon(24)
+    pts[5] = Point(pts[5].x + Fraction(1, 10**30), pts[5].y)
+    rep = assert_agrees_with_reference(pts)
+    assert len(pair_directions(pts)) > len(pair_directions(polygon(24)))
+    assert rep.counts != spectrum(polygon(24)).counts
+
+
+@pytest.mark.parametrize("scale", [Fraction(10**400), Fraction(1, 10**400)], ids=["huge", "tiny"])
+def test_coordinates_beyond_float_range_fall_back_to_exact(scale):
+    pts = [Point(p.x * scale, p.y * scale) for p in polygon(12, center=True)]
+    pts.append(Point(scale * 3, scale / 7))  # a Fraction point in the cyclotomic list
+    assert_agrees_with_reference(pts)
+
+
+def count_parallel_tests(monkeypatch):
+    calls = [0]
+    exact = Direction.parallel_to
+
+    def counted(self, other):
+        calls[0] += 1
+        return exact(self, other)
+
+    monkeypatch.setattr(Direction, "parallel_to", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, center", [(24, False), (31, True)])
+def test_infinite_bound_decides_every_pair_exactly(n, center, monkeypatch):
+    pts = polygon(n, center)
+    filtered = pair_directions(pts)
+    calls = count_parallel_tests(monkeypatch)
+    spectrum_module = importlib.import_module("dircover.spectrum")  # the package re-exports spectrum()
+    monkeypatch.setattr(spectrum_module, "_approximate", lambda value: (0.0, math.inf))
+    assert pair_directions(pts) == filtered
+    assert calls[0] > len(pts) * (len(pts) - 1) // 2
+
+
+def test_exact_tests_at_most_one_per_chord(monkeypatch):
+    pts = polygon(48)
+    calls = count_parallel_tests(monkeypatch)
+    classes = pair_directions(pts)
+    assert calls[0] <= len(pts) * (len(pts) - 1) // 2 == 1128
+    assert len(classes) == 48 and {c for _, c in classes} == {24, 25}
+
+
+def double_loop_ambiguous(ys, epsilon):
+    return any(
+        epsilon <= ys[v] - ys[u] < 10 * epsilon for u in range(len(ys)) for v in range(u + 1, len(ys))
+    )
+
+
+def gap_chains():
+    """Sorted values built from gaps around epsilon = 1e-6, with runs of sub-epsilon gaps."""
+    rng = random.Random(20221019)
+    gaps = [0.0, 1e-9, 3e-7, 9.9e-7, 1e-6, 5e-6, 9.99e-6, 1e-5, 2e-5, 1.0]
+    cases = []
+    for size in range(0, 40):
+        for weights in ((1,) * 10, (4, 4, 6, 6, 1, 1, 1, 1, 2, 1), (2, 2, 6, 6, 0, 0, 0, 0, 3, 1)):
+            ys = [rng.uniform(-3, 3)]
+            for _ in range(size):
+                ys.append(ys[-1] + rng.choices(gaps, weights)[0])
+            cases.append(ys)
+    return cases
+
+
+def test_gap_scan_agrees_with_double_loop():
+    cases = gap_chains()
+    outcomes = set()
+    for ys in cases:
+        expected = double_loop_ambiguous(ys, 1e-6)
+        assert _has_ambiguous_gap(ys, 1e-6) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+    bundle = construct(12)
+    coeffs = [(float(approx_real(line.a, 80)), float(approx_real(line.b, 80))) for line in bundle.lines]
+    for ai, bi in coeffs:
+        for aj, bj in coeffs:
+            if ai != aj:
+                x = (bi - bj) / (aj - ai)
+                ys = sorted(-(a * x + b) for a, b in coeffs)
+                for epsilon in (1e-12, 1e-6, 1e-2, 0.3):
+                    assert _has_ambiguous_gap(ys, epsilon) == double_loop_ambiguous(ys, epsilon)
 
 
 def double_loop_witness(lines):

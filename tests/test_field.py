@@ -5,6 +5,7 @@ them (synthetic polynomial division, double-precision trigonometry, sympy's
 cyclotomic polynomials); the implementation never shares code with those.
 """
 
+import random
 from fractions import Fraction
 
 import mpmath
@@ -14,6 +15,8 @@ import sympy
 from dircover.errors import OrderMismatchError, ParseError
 from dircover.field import (
     CycloElement,
+    _cyclotomic_terms,
+    _reduce_mod_cyclo,
     cyclotomic_poly,
     euler_phi,
     format_rational,
@@ -59,6 +62,42 @@ class TestCyclotomicPoly:
     def test_rejects_nonpositive_order(self):
         with pytest.raises(ValueError):
             cyclotomic_poly(0)
+
+
+def _dense_reduce(nums, modulus):
+    """The reduction loop over every coefficient of the monic modulus."""
+    deg = len(modulus) - 1
+    for i in range(len(nums) - 1, deg - 1, -1):
+        c = nums[i]
+        if c:
+            for j in range(deg + 1):
+                nums[i - deg + j] -= c * modulus[j]
+    return nums[:deg] + [0] * max(0, deg - len(nums))
+
+
+class TestSparseReduction:
+    @pytest.mark.parametrize("m, terms", [(12, 3), (24, 3), (48, 3), (100, 5), (124, 31), (140, 17)])
+    def test_nonzero_terms(self, m, terms):
+        x = sympy.symbols("x")
+        expected = [int(c) for c in reversed(sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs())]
+        deg, lower = _cyclotomic_terms(m)
+        assert deg == euler_phi(m) == len(expected) - 1
+        assert len(lower) + 1 == terms == sum(1 for c in expected if c)
+        assert lower == tuple((j, c) for j, c in enumerate(expected[:-1]) if c)
+
+    @pytest.mark.parametrize("m", [12, 24, 48, 100, 124, 140])
+    def test_matches_dense_loop_and_sympy(self, m):
+        rng = random.Random(m)
+        modulus = cyclotomic_poly(m)
+        x = sympy.symbols("x")
+        phi_m = sympy.Poly(list(reversed(modulus)), x)
+        for length in (1, len(modulus) - 1, len(modulus), 2 * len(modulus) - 3, m + 3):
+            nums = [rng.randint(-10**12, 10**12) for _ in range(length)]
+            got = _reduce_mod_cyclo(list(nums), m)
+            assert got == _dense_reduce(list(nums), modulus)
+            rem = sympy.rem(sympy.Poly(list(reversed(nums)), x), phi_m)
+            expected = [int(c) for c in reversed(rem.all_coeffs())]
+            assert got == expected + [0] * (len(got) - len(expected))
 
 
 class TestMultiplication:

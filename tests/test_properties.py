@@ -1,5 +1,7 @@
 """Property-based tests for the algebraic and geometric invariants."""
 
+from fractions import Fraction
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -92,6 +94,20 @@ class TestRingLaws:
             lhs = (a * b).approx(113)
             rhs = a.approx(113) * b.approx(113)
             assert abs(lhs - rhs) < 1e-20
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([3, 7, 12, 24, 48, 124]),
+        st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=70),
+        st.integers(1, 10**20),
+    )
+    def test_approx_error_bounds_the_approximation(self, n, nums, den):
+        import mpmath
+
+        a = CycloElement(n, [Fraction(v, den) for v in nums])
+        with mpmath.workprec(400):
+            gap = abs(a.approx(53) - a.approx(300))
+            assert gap <= a.approx_error(53) + a.approx_error(300)
 
     @settings(max_examples=40, deadline=None)
     @given(cyclo_batch(1))
