@@ -14,8 +14,6 @@ import os
 import sys
 from dataclasses import replace
 
-import mpmath
-
 from .checks import CheckReport, affine_check, duality_check, oracle_check, pinchasi_check
 from .counterexample import bundle_to_json, construct, family_config, read_bundle, verify, write_bundle
 from .errors import DegenerateInputError, DirCoverError, ParseError
@@ -144,6 +142,8 @@ def cmd_polygon(args) -> int:
             file=sys.stderr,
         )
         return 1
+    import mpmath  # deferred: only decimal output needs it
+
     rot = choose_rotation(cfg)
     pts = instantiate_polygon(cfg, rot)
     bits = _precision_bits()

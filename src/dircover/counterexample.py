@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-import mpmath
-
 from .errors import ParseError
 from .field import CycloElement, approx_real, euler_phi, format_rational, parse_rational
 from .geometry import NonVerticalLine, concurrent_family, dual_point_to_line
@@ -228,6 +226,8 @@ def approximate_lines(
     lines: Sequence[NonVerticalLine], digits: int = 12
 ) -> tuple[tuple[str, str], ...]:
     """Decimal renderings of (a, b) per line; display only, never verified against."""
+    import mpmath  # deferred: only decimal output needs it
+
     return tuple(
         tuple(mpmath.nstr(approx_real(s, 128), digits) for s in (line.a, line.b)) for line in lines
     )
@@ -287,10 +287,12 @@ def read_bundle(path) -> CounterexampleBundle:
             raise ParseError(f"{path}: {where}: {exc}") from None
 
     try:
-        n = int(doc["n"])
-        config = PolygonConfig(int(doc["config"]["vertices"]), bool(doc["config"]["with_center"]))
+        n, order = doc["n"], doc["field_order"]
+        vertices, center = doc["config"]["vertices"], doc["config"]["with_center"]
+        if {type(n), type(order), type(vertices)} != {int} or type(center) is not bool:  # JSON true is not 1
+            raise ParseError(f"{path}: n, vertices and field_order must be JSON integers, with_center a boolean")
+        config = PolygonConfig(vertices, center)
         rotation = RationalRotation(*(rational(doc["rotation"][k], f"rotation {k}") for k in "cs"))
-        order = int(doc["field_order"])
         records = [(rec["a"], rec["b"]) for rec in doc["lines"]]
         if not n == config.total == len(records) or order != field_order(config.vertices):
             raise ParseError(

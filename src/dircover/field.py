@@ -10,8 +10,9 @@ the representation unique, so equality and zero tests are exact
 coefficient comparisons with no tolerance anywhere.
 
 The geometric predicates built on top only ever need ring operations,
-conjugation and exact zero tests, so division is deliberately absent
-from this module.
+conjugation and exact zero tests, so division in Q(zeta_n) is
+deliberately absent; :func:`residue` maps scalars into F_p, where chords
+are bucketed by slope, and decides nothing.
 """
 
 from __future__ import annotations
@@ -19,12 +20,14 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from typing import Iterable, Union
-
-import mpmath
+from itertools import chain, count
+from math import gcd, isqrt
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import OrderMismatchError, ParseError
+
+if TYPE_CHECKING:
+    import mpmath  # imported only inside the functions that need it
 
 Rational = Fraction
 """Alias for the rational coordinate scalar type."""
@@ -297,10 +300,11 @@ class CycloElement:
         the sum of the absolute values of the coefficients, every partial
         sum stays within M, the computed root is within 4u of zeta_n, and
         each Horner step adds at most 8uM, so the absolute error is at most
-        (8 * phi(n) + 1) * u * M, below :meth:`approx_error`.  Predicates
-        never decide on this value; it only displays, cross-checks and
-        rules chord pairs out (``spectrum.pair_directions``).
+        (8 * phi(n) + 1) * u * M.  Predicates never decide on this value; it
+        only displays and cross-checks.
         """
+        import mpmath  # deferred: only decimal output needs it
+
         if precision_bits < 53:
             raise ValueError("precision_bits must be >= 53")
         with mpmath.workprec(precision_bits + 10):
@@ -309,17 +313,6 @@ class CycloElement:
             for c in reversed(self._num):
                 acc = acc * root + c
             return acc / self._den
-
-    def approx_error(self, precision_bits: int = 53) -> float:
-        """A bound on ``abs(approx(precision_bits) - self)``: phi(n) * M * 2**(-4 - precision_bits).
-
-        M is the sum of the absolute values of the coefficients.  The bound
-        is over three times the error derived in :meth:`approx`, so
-        rounding it to a float does not undercut it, short of underflow; it
-        raises ``OverflowError`` beyond the float range.
-        """
-        total = sum(abs(v) for v in self._num)
-        return len(self._num) * total / (self._den << (4 + precision_bits))
 
     def __eq__(self, other):
         if isinstance(other, CycloElement):
@@ -366,12 +359,52 @@ def zeta(order: int, power: int = 1) -> CycloElement:
     return CycloElement(order, [0] * k + [1])
 
 
+def residue_primes(order: int) -> Iterator[tuple[int, int]]:
+    """Primes p = 1 (mod order), each with a root w of Phi_order mod p, found one at a time.
+
+    Candidates run down from 2**24, where trial division is cheap, then up
+    without end, so a caller that skips finitely many primes always gets one.
+    """
+    phi_m = cyclotomic_poly(order)
+    top = (2**24 - 2) // order
+    for k in chain(range(top, 0, -1), count(top + 1)):
+        p = k * order + 1
+        if p % 2 and all(p % d for d in range(3, isqrt(p) + 1, 2)):
+            roots = (pow(a, (p - 1) // order, p) for a in count(2))  # F_p* is cyclic: one is primitive
+            yield p, next(w for w in roots if _horner(phi_m, w, p) == 0)
+
+
+def _horner(coeffs: Sequence[int], w: int, p: int) -> int:
+    """The polynomial with the given ascending coefficients at w, mod p."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * w + c) % p
+    return acc
+
+
+def residue(value: Union[Fraction, CycloElement], p: int, w: int) -> Optional[int]:
+    """The image of a scalar in F_p under zeta_m -> w, or None when p divides its denominator.
+
+    With w a root of Phi_m mod p this is a ring homomorphism, so an exact
+    identity such as dx1 * dy2 = dy1 * dx2 holds mod p too.
+    """
+    if isinstance(value, Fraction):
+        nums, den = (value.numerator,), value.denominator
+    else:
+        nums, den = value._num, value._den
+    if den % p == 0:
+        return None
+    return _horner(nums, w, p) * pow(den, -1, p) % p
+
+
 def approx_real(value: Union[Fraction, CycloElement], precision_bits: int) -> mpmath.mpf:
     """The real part of a scalar as an mpmath number; display and cross-checks only.
 
     A Fraction is divided out at mpmath's working precision; a CycloElement
     is evaluated by :meth:`CycloElement.approx` at ``precision_bits``.
     """
+    import mpmath  # deferred: only decimal output needs it
+
     if isinstance(value, Fraction):
         return mpmath.mpf(value.numerator) / value.denominator
     return value.approx(precision_bits).real

@@ -8,27 +8,25 @@ engine enumerates those and adjoins the generic count |Q| by construction.
 
 One scan over the chords classes them and counts each class's cover lines
 (:func:`pair_directions`); partitions are built only as witnesses, one per
-distinct count.  Every class decision is exact.  For cyclotomic input a
-float cross product with a rigorous error bound first rules out the
-representatives a chord is provably not parallel to, so the exact test
-runs about once per chord; floats never decide that two chords are
-parallel.  Distinctness is checked once, in :func:`spectrum` and
-:func:`stab_spectrum`; the helpers assume it.
+distinct count.  Every class decision is exact.  For cyclotomic input the
+chords are first bucketed by their slope modulo a prime, which parallel
+chords always share, so the exact test runs about once per chord; no float
+takes part in classing.  Distinctness is checked once, in :func:`spectrum`
+and :func:`stab_spectrum`; the helpers assume it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, OrderMismatchError
+from .field import CycloElement, residue, residue_primes
 from .geometry import (
     Direction,
     NonVerticalLine,
     Point,
-    Scalar,
     dual_line_to_point,
     ensure_distinct_lines,
     ensure_distinct_points,
@@ -61,56 +59,27 @@ class SpectrumReport:
         return sorted(self.counts)
 
 
-_ROUND = 2.0**-50  # float rounding of a cross product, relative to s1 * s2, twice over
-_TINY = 2.0**-1000  # absolute room for float underflow, far above 2**-1074 per step
+def _slope_key(points: Sequence[Point]) -> Callable[[int, int], Optional[int]]:
+    """The slope mod p of the chord (i, j), or None when it is vertical mod p.
 
-_Floats = tuple[float, float, float, float]
-
-
-def _approximate(value: Scalar) -> tuple[float, float]:
-    """A float near an exact scalar and a bound on their distance; (0, inf) past the float range.
-
-    The bound is at least twice what it covers: the float conversion (under
-    one unit in the last place, abs(f) * 2**-52), the error of
-    :meth:`CycloElement.approx` and underflow.
+    p is the first prime from :func:`field.residue_primes` that divides no
+    denominator and keeps the points' residue pairs distinct, so no chord
+    maps to (0, 0).  Parallel chords always share a key; others only by a
+    collision mod p.
     """
-    try:
-        if isinstance(value, Fraction):
-            f, err = float(value), 0.0
-        else:
-            f, err = float(value.approx(53).real), value.approx_error(53)
-    except OverflowError:
-        return 0.0, inf
-    return f, err + abs(f) * 2.0**-51 + _TINY
+    orders = {pt.x.order for pt in points if isinstance(pt.x, CycloElement)}
+    if len(orders) > 1:
+        raise OrderMismatchError(f"points from different fields: orders {sorted(orders)}")
+    for p, w in residue_primes(orders.pop()):
+        res = [(residue(pt.x, p, w), residue(pt.y, p, w)) for pt in points]
+        if all(None not in r for r in res) and len(set(res)) == len(points):
+            break
 
+    def key(i: int, j: int) -> Optional[int]:
+        dx, dy = res[j][0] - res[i][0], res[j][1] - res[i][1]
+        return dy * pow(dx, -1, p) % p if dx else None
 
-def _float_chord(p: _Floats, q: _Floats) -> _Floats:
-    """(dx, dy, s, e) of the chord from p to q, both given as (x, ex, y, ey).
-
-    dx and dy are float differences, s = |dx| + |dy|, and e bounds the error
-    of both components: the endpoints' errors plus the subtraction's
-    rounding, at most 2**-53 * |dx|, twice over.
-    """
-    px, epx, py, epy = p
-    qx, eqx, qy, eqy = q
-    dx, dy = qx - px, qy - py
-    s = abs(dx) + abs(dy)
-    return dx, dy, s, max(epx + eqx, epy + eqy) + s * 2.0**-52
-
-
-def _apart(u: _Floats, v: _Floats) -> bool:
-    """Whether the float cross product proves the chords u and v not parallel.
-
-    The float cross product dx1*dy2 - dy1*dx2 is within
-    s1*e2 + e1*(s2 + 2*e2) of the cross product of the exact components,
-    plus its own rounding, 2**-51 * s1*s2, plus underflow.  Every term of
-    the bound below carries a factor 2 to spare, which covers the rounding
-    in computing the bound.  NaN or infinite values compare false, so they
-    never prove anything.
-    """
-    dx, dy, s, e = u
-    rx, ry, rs, re = v
-    return abs(dx * ry - dy * rx) > s * re + e * (rs + 2 * re) + s * rs * _ROUND + _TINY
+    return key
 
 
 def pair_directions(points: Sequence[Point]) -> list[tuple[Direction, int]]:
@@ -119,13 +88,10 @@ def pair_directions(points: Sequence[Point]) -> list[tuple[Direction, int]]:
     One scan over the pairs (i, j), i < j, in index order represents each
     class by its first chord.  Rational chords, canonical when built, find
     their class by equality.  Cyclotomic ones, which admit no canonical
-    scaling, find it by exact cross-product-zero tests against the
-    representatives so far, each behind a float filter: every coordinate is
-    approximated once, with a rigorous error bound (:func:`_approximate`),
-    and a representative the float cross product proves not parallel
-    (:func:`_apart`) is skipped.  Floats never decide that two chords are
-    parallel; short chords and huge or tiny coordinates get a wide bound
-    and so reach the exact test.
+    scaling, are bucketed by their slope mod a prime (:func:`_slope_key`):
+    parallel chords always share a bucket, so the exact cross-product test
+    (:meth:`Direction.parallel_to`) runs only against the classes in the
+    chord's bucket, usually one.
 
     Within a class, the points on one cover line are pairwise joined by the
     class's chords, so every point but the first on its line is the second
@@ -136,25 +102,21 @@ def pair_directions(points: Sequence[Point]) -> list[tuple[Direction, int]]:
     n = len(pts)
     if n < 2:
         raise DegenerateInputError("need at least 2 points for pair directions")
-    rational = all(isinstance(p.x, Fraction) for p in pts)
-    approx = [] if rational else [(*_approximate(p.x), *_approximate(p.y)) for p in pts]
+    slope = None if all(isinstance(p.x, Fraction) for p in pts) else _slope_key(pts)
     reps: list[Direction] = []
-    floats: list[_Floats] = []
     seconds: list[set[int]] = []
     index: dict[Direction, int] = {}
+    buckets: dict[Optional[int], list[int]] = {}
     for i in range(n):
         for j in range(i + 1, n):
             d = Direction.between(pts[i], pts[j])
-            if rational:
+            if slope is None:
                 k = index.setdefault(d, len(reps))
             else:
-                f = _float_chord(approx[i], approx[j])
-                k = next(
-                    (m for m, r in enumerate(floats) if not _apart(f, r) and d.parallel_to(reps[m])),
-                    len(reps),
-                )
+                bucket = buckets.setdefault(slope(i, j), [])
+                k = next((m for m in bucket if d.parallel_to(reps[m])), len(reps))
                 if k == len(reps):
-                    floats.append(f)
+                    bucket.append(k)
             if k == len(reps):
                 reps.append(d)
                 seconds.append(set())

@@ -1,7 +1,11 @@
 """File format and command-line behavior tests."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -289,3 +293,34 @@ class TestPrecisionEnv:
         assert got.out == expected.out
         warnings = got.err.splitlines()
         assert len(warnings) == 1 and repr(value) in warnings[0] and f"using {used}" in warnings[0]
+
+
+class TestStartUp:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "{square}"],
+            ["stab", "{lines}"],
+            ["verify", "{bundle}"],
+            ["check", "duality", "--trials", "20"],
+            ["check", "pinchasi", "--trials", "20"],
+            ["check", "affine", "--trials", "5"],
+            ["check", "oracle", "--trials", "5"],
+        ],
+        ids=["spectrum", "stab", "verify", "duality", "pinchasi", "affine", "oracle"],
+    )
+    def test_exact_commands_do_not_load_mpmath(self, tmp_path, square_file, argv):
+        import dircover
+        from dircover.counterexample import construct, write_bundle
+
+        lines = tmp_path / "fam.lines"
+        lines.write_text("1 0\n2 1\n-1 3\n")
+        bundle = tmp_path / "b.json"
+        write_bundle(construct(7), bundle)
+        argv = [a.format(square=square_file, lines=lines, bundle=bundle) for a in argv]
+        script = "import sys\nfrom dircover.cli import main\nprint(main(sys.argv[1:]), 'mpmath' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(dircover.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.stderr == "" and done.stdout.splitlines()[-1] == "0 False"

@@ -227,6 +227,34 @@ class TestBundleIO:
         assert err.startswith("error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n", 7.9),
+            ("n", 7.0),
+            ("n", "7"),
+            ("n", True),
+            ("vertices", "6"),
+            ("vertices", 6.0),
+            ("with_center", "no"),
+            ("with_center", 1),
+            ("field_order", "12"),
+            ("field_order", False),
+        ],
+    )
+    def test_header_fields_are_not_cast(self, tmp_path, capsys, key, value):
+        # A --n 7 --variant center bundle: 6 vertices plus the center, field order 12.
+        path = tmp_path / "bundle.json"
+        write_bundle(construct(7, variant="center"), path)
+        doc = json.loads(path.read_text())
+        (doc["config"] if key in ("vertices", "with_center") else doc)[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="must be JSON integers"):
+            read_bundle(path)
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: n, vertices") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "edit, place, token",
         [
             (lambda doc: doc["lines"][0]["a"].__setitem__(0, "0.5"), "line 0 a", "'0.5'"),

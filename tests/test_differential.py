@@ -7,10 +7,12 @@ class from its chords in the same scan and builds partitions only as
 witnesses, so counts, witness partitions and stab spectra must agree
 exactly.
 
-For cyclotomic input the production scan puts a float filter in front of
-each exact parallelism test.  The reference has no filter, so agreement on
-large polygons, on chords parallel to within 10**-30 and with the filter's
-bound forced to infinity shows that the filter only ever skips tests that
+For cyclotomic input the production scan buckets chords by their slope
+modulo a prime and runs the exact parallelism test only within a bucket.
+The reference compares every chord with every class, so agreement on large
+polygons, on chords parallel to within 10**-30, on coordinates with
+30-digit denominators, on a prime the scan must skip and with every chord
+forced into one bucket shows that the buckets only ever skip tests that
 would have said "not parallel".  The gap scan of ``float_crosscheck`` is
 compared with its earlier double loop.
 
@@ -22,7 +24,6 @@ pair, the concurrency flag and the verdict must agree exactly.
 
 import importlib
 import json
-import math
 import random
 from fractions import Fraction
 
@@ -36,8 +37,8 @@ from dircover.counterexample import (
     verify,
     write_bundle,
 )
-from dircover.errors import DegenerateInputError
-from dircover.field import approx_real
+from dircover.errors import DegenerateInputError, OrderMismatchError
+from dircover.field import approx_real, residue, residue_primes
 from dircover.geometry import (
     Direction,
     NonVerticalLine,
@@ -184,14 +185,49 @@ def count_parallel_tests(monkeypatch):
 
 
 @pytest.mark.parametrize("n, center", [(24, False), (31, True)])
-def test_infinite_bound_decides_every_pair_exactly(n, center, monkeypatch):
+def test_one_bucket_decides_every_pair_exactly(n, center, monkeypatch):
     pts = polygon(n, center)
-    filtered = pair_directions(pts)
+    bucketed = pair_directions(pts)
     calls = count_parallel_tests(monkeypatch)
     spectrum_module = importlib.import_module("dircover.spectrum")  # the package re-exports spectrum()
-    monkeypatch.setattr(spectrum_module, "_approximate", lambda value: (0.0, math.inf))
-    assert pair_directions(pts) == filtered
+    monkeypatch.setattr(spectrum_module, "_slope_key", lambda points: lambda i, j: 0)
+    assert pair_directions(pts) == bucketed
     assert calls[0] > len(pts) * (len(pts) - 1) // 2
+
+
+@pytest.mark.parametrize("reason", ["denominator", "congruent"])
+def test_prime_that_must_be_skipped(reason):
+    pts = polygon(12)
+    p, w = next(residue_primes(pts[0].x.order))
+    if reason == "denominator":
+        pts[3] = Point(pts[3].x + Fraction(1, p), pts[3].y)
+        assert residue(pts[3].x, p, w) is None
+    else:
+        # The chord from pts[0] to a point congruent to it mod p maps to
+        # (0, 0); it is parallel to the chord to a third point whose slope
+        # mod p is 1, so keying under p would split one class in two.
+        pts += [Point(pts[0].x + p, pts[0].y + p), Point(pts[0].x + 1, pts[0].y + 1)]
+    assert_agrees_with_reference(pts)
+
+
+@pytest.mark.parametrize("n", [12, 24])
+def test_thirty_digit_denominators(n):
+    # Every coordinate moves by its own rational with a 30-digit denominator.
+    rng = random.Random(n)
+    pts = [
+        Point(*(s + Fraction(rng.randint(1, 9), rng.randrange(10**29, 10**30)) for s in (p.x, p.y)))
+        for p in polygon(n)
+    ]
+    assert_agrees_with_reference(pts)
+
+
+def test_mixed_cyclotomic_orders_are_refused():
+    pts = polygon(12)[:5] + polygon(7)[:2]
+    assert {p.x.order for p in pts} == {12, 28}
+    with pytest.raises(OrderMismatchError, match=r"orders \[12, 28\]"):
+        spectrum(pts)
+    with pytest.raises(OrderMismatchError, match=r"orders \[12, 28\]"):
+        stab_spectrum([dual_point_to_line(p) for p in pts])
 
 
 def test_exact_tests_at_most_one_per_chord(monkeypatch):

@@ -105,9 +105,15 @@ class TestRingLaws:
         import mpmath
 
         a = CycloElement(n, [Fraction(v, den) for v in nums])
+        total = sum(abs(c) for c in a.coeffs)
+
+        def bound(bits):  # (8 * phi + 1) * 2**(1 - (bits + 10)) * M, as approx documents
+            b = (8 * len(a.coeffs) + 1) * total / 2 ** (bits + 9)
+            return mpmath.mpf(b.numerator) / b.denominator
+
         with mpmath.workprec(400):
             gap = abs(a.approx(53) - a.approx(300))
-            assert gap <= a.approx_error(53) + a.approx_error(300)
+            assert gap <= bound(53) + bound(300)
 
     @settings(max_examples=40, deadline=None)
     @given(cyclo_batch(1))
