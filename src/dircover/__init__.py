@@ -46,7 +46,6 @@ from .polygon import (
     polygon_direction_count,
     polygon_spectrum_closed_form,
     polygon_spectrum_enumerated,
-    rotation_parameters,
 )
 from .counterexample import (
     CounterexampleBundle,

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 failed check/verification, 2 parse, usage or I/O
 error, 3 degenerate input.  ``DS_PRECISION_BITS`` (default 128, at least 53)
-controls the precision of the decimal approximations printed for display; a
-bad value is replaced, with a warning on stderr.
+controls the precision of the decimals ``polygon`` prints; a bad value is
+replaced, with a warning on stderr.  ``counterexample`` always prints 12
+digits computed at 128 bits.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import replace
 from .checks import CheckReport, affine_check, duality_check, oracle_check, pinchasi_check
 from .counterexample import bundle_to_json, construct, family_config, read_bundle, verify, write_bundle
 from .errors import DegenerateInputError, DirCoverError, ParseError
-from .field import approx_real, format_rational
+from .field import approx_str, format_rational
 from .fileio import format_lines, format_points, parse_lines, parse_points
 from .geometry import dual_line_to_point, dual_point_to_line
 from .polygon import (
@@ -142,13 +143,11 @@ def cmd_polygon(args) -> int:
             file=sys.stderr,
         )
         return 1
-    import mpmath  # deferred: only decimal output needs it
-
     rot = choose_rotation(cfg)
     pts = instantiate_polygon(cfg, rot)
     bits = _precision_bits()
     digits = _display_digits(bits)
-    approx = [[mpmath.nstr(approx_real(s, bits), digits) for s in (p.x, p.y)] for p in pts]
+    approx = [[approx_str(s, bits, digits) for s in (p.x, p.y)] for p in pts]
     note = CASE2_NOTE if (not cfg.with_center and cfg.vertices % 2 == 1) else None
     if args.json:
         doc = {

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import ParseError
-from .field import CycloElement, approx_real, euler_phi, format_rational, parse_rational
+from .field import CycloElement, approx_real, approx_str, euler_phi, format_rational, parse_rational
 from .geometry import NonVerticalLine, concurrent_family, dual_point_to_line
 from .polygon import (
     PolygonConfig,
@@ -226,11 +226,7 @@ def approximate_lines(
     lines: Sequence[NonVerticalLine], digits: int = 12
 ) -> tuple[tuple[str, str], ...]:
     """Decimal renderings of (a, b) per line; display only, never verified against."""
-    import mpmath  # deferred: only decimal output needs it
-
-    return tuple(
-        tuple(mpmath.nstr(approx_real(s, 128), digits) for s in (line.a, line.b)) for line in lines
-    )
+    return tuple(tuple(approx_str(s, 128, digits) for s in (line.a, line.b)) for line in lines)
 
 
 def bundle_to_json(bundle: CounterexampleBundle) -> dict:

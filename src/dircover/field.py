@@ -18,6 +18,8 @@ are bucketed by slope, and decides nothing.
 from __future__ import annotations
 
 import re
+import sys
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, count
@@ -38,10 +40,17 @@ _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the ``p`` / ``p/q`` text form (optional leading minus) into a Fraction."""
+    """Parse the ``p`` / ``p/q`` text form (optional leading minus) into a Fraction.
+
+    An integer past ``int()``'s digit limit is refused, by its length, before ``int()`` runs.
+    """
     token = text.strip()
     if not _RATIONAL_RE.fullmatch(token):
         raise ParseError(f"not a rational: {text!r}")
+    limit = sys.get_int_max_str_digits()
+    longest = max(map(len, token.lstrip("-").split("/")))
+    if limit and longest > limit:
+        raise ParseError(f"integer of {longest} digits exceeds the {limit}-digit limit")
     if "/" in token:
         num, den = token.split("/")
         if int(den) == 0:
@@ -51,11 +60,11 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: RationalLike) -> str:
-    """Inverse of :func:`parse_rational`; integers print without a denominator."""
+    """Inverse of :func:`parse_rational`; integers print without a denominator, at any length."""
     q = Fraction(value)
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return str(Decimal(q.numerator))
+    return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
 
 
 def _poly_div_exact(dividend: list[int], divisor: tuple[int, ...]) -> list[int]:
@@ -408,3 +417,10 @@ def approx_real(value: Union[Fraction, CycloElement], precision_bits: int) -> mp
     if isinstance(value, Fraction):
         return mpmath.mpf(value.numerator) / value.denominator
     return value.approx(precision_bits).real
+
+
+def approx_str(value: Union[Fraction, CycloElement], precision_bits: int, digits: int) -> str:
+    """The real part of a scalar as ``digits`` significant decimals; display only."""
+    import mpmath  # deferred: only decimal output needs it
+
+    return mpmath.nstr(approx_real(value, precision_bits), digits)

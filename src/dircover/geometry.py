@@ -78,12 +78,13 @@ class NonVerticalLine:
 class Direction:
     """A line direction: the vector (dx, dy) modulo scaling and sign.
 
-    A rational direction is canonical when it is built: coprime integer
-    components with dx > 0, or (0, 1).  So for rational directions
-    structural equality and hashing mean "parallel".  In the cyclotomic
-    domain no canonical scaling exists without division; the components
-    stay as given and class membership is decided by the cross-product
-    predicate (:meth:`parallel_to`), never by structural equality.
+    A rational direction is canonical when it is built: coprime plain ints
+    (a Fraction hash costs a modular inverse) with dx > 0, or (0, 1).  So
+    for rational directions structural equality and hashing mean
+    "parallel".  In the cyclotomic domain no canonical scaling exists
+    without division; the components stay as given and class membership is
+    decided by the cross-product predicate (:meth:`parallel_to`), never by
+    structural equality.
     """
 
     dx: Scalar
@@ -96,7 +97,7 @@ class Direction:
         if isinstance(dx, Fraction):
             a, b = dx.numerator * dy.denominator, dy.numerator * dx.denominator
             g = gcd(a, b) if a > 0 or (a == 0 and b > 0) else -gcd(a, b)
-            dx, dy = Fraction(a // g), Fraction(b // g)
+            dx, dy = a // g, b // g
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "dy", dy)
 

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import lcm
-from typing import Iterator
 
 from .field import CycloElement, zeta
 from .geometry import Point
@@ -139,15 +137,6 @@ class RationalRotation:
         return cls((1 - t * t) / den, 2 * t / den)
 
 
-def rotation_parameters() -> Iterator[Fraction]:
-    """0 followed by the Calkin-Wilf enumeration of the positive rationals."""
-    yield Fraction(0)
-    q = Fraction(1)
-    while True:
-        yield q
-        q = 1 / (2 * Fraction(q.numerator // q.denominator) - q + 1)
-
-
 def field_order(n: int) -> int:
     """Order m of the cyclotomic field used for exact n-gon coordinates."""
     return lcm(4, n)
@@ -179,17 +168,15 @@ def instantiate_polygon(cfg: PolygonConfig, rotation: RationalRotation) -> list[
 
 
 def choose_rotation(cfg: PolygonConfig) -> RationalRotation:
-    """First enumerated rational rotation giving pairwise distinct x-coordinates.
+    """The rotation giving pairwise distinct x: (0, 1) for odd n without center, else (3/5, 4/5).
 
-    Termination is a counting argument: each point pair of the configuration
-    shares an x-coordinate for at most 2 rotation angles, the candidate
-    parameters map to pairwise distinct angles, and the stream is infinite,
-    so at most total*(total-1) + 2*total candidates can fail.
+    With c + is = e^(i*theta), vertices j != k share an x only when
+    e^(2i*theta) = zeta_n^-(j+k), and vertex k meets the center's x = 0 only
+    when e^(i*theta) * zeta_n^k = +-i.  Either way c + is is a root of unity
+    in Q(i), so +-1 or +-i, and (3/5, 4/5) always works.  For (0, 1), -1 is a
+    power of zeta_n only for even n, and vertex 0 sits at x = 0.  The
+    identity never works (vertices k and n - k share an x), so this is the
+    first working rotation of the half-angle parameters t = 0, 1, 1/2.
     """
-    limit = cfg.total * cfg.total + cfg.total + 8
-    for t in islice(rotation_parameters(), limit):
-        rot = RationalRotation.from_parameter(t)
-        pts = instantiate_polygon(cfg, rot)
-        if len({p.x for p in pts}) == len(pts):
-            return rot
-    raise RuntimeError("rotation search exceeded its counting bound")
+    odd_plain = cfg.vertices % 2 == 1 and not cfg.with_center
+    return RationalRotation.from_parameter(1 if odd_plain else Fraction(1, 2))

@@ -148,11 +148,11 @@ def generic_direction(chord_dirs: Sequence[Direction]) -> Direction:
     only when equal to it, so they are looked up in a set; the others are
     tested exactly.
     """
-    rational = {d for d in chord_dirs if isinstance(d.dx, Fraction)}
-    others = [d for d in chord_dirs if not isinstance(d.dx, Fraction)]
+    rational = {d for d in chord_dirs if not isinstance(d.dx, CycloElement)}
+    others = [d for d in chord_dirs if isinstance(d.dx, CycloElement)]
     t = 0
     while True:
-        cand = Direction(Fraction(1), Fraction(t))
+        cand = Direction(1, t)
         if cand not in rational and all(not cand.parallel_to(d) for d in others):
             return cand
         t += 1

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from dircover.cli import main
 from dircover.errors import ParseError
 from dircover.fileio import format_lines, format_points, parse_lines, parse_points
 from dircover.geometry import NonVerticalLine, Point
+from dircover.spectrum import spectrum
 
 
 class TestFileFormats:
@@ -77,6 +79,37 @@ class TestSpectrumCommand:
 
     def test_missing_file(self):
         assert main(["spectrum", "/nonexistent/file.pts"]) == 2
+
+
+class TestLongIntegers:
+    """Integers past ``str()``/``int()``'s default 4300-digit limit, which stays in force."""
+
+    def test_overlong_token_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "long.pts"
+        path.write_text("0 0\n1 -" + "9" * 5000 + "\n")
+        assert main(["spectrum", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: integer of 5000 digits exceeds the 4300-digit limit")
+        assert "set_int_max_str_digits" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("json_out", [False, True], ids=["text", "json"])
+    def test_spectrum_prints_long_directions(self, tmp_path, capsys, json_out):
+        big = 10**2999 + 7  # 3000 digits; the chord to (big, 1/big) has a 6000-digit direction
+        path = tmp_path / "long.pts"
+        path.write_text(f"0 0\n{big} 1/{big}\n1 2\n-3 {big}\n")
+        assert main(["spectrum", *(["--json"] if json_out else []), str(path)]) == 0
+        out = capsys.readouterr().out
+        if json_out:
+            printed = {int(c): w["direction"] for c, w in json.loads(out)["witnesses"].items()}
+        else:
+            rows = [line.split() for line in out.splitlines() if line.endswith(")")]
+            printed = {int(row[0]): [row[-2][1:-1], row[-1][:-1]] for row in rows}
+        rep = spectrum(parse_points(path.read_text()))
+        assert sorted(printed) == rep.sorted_counts
+        for c, (dx, dy) in printed.items():
+            d = rep.witnesses[c].direction
+            assert (int(Decimal(dx)), int(Decimal(dy))) == (d.dx, d.dy)  # no str() limit on this path
+        assert max(len(dx) for dx, _ in printed.values()) > 4300
 
 
 class TestStabCommand:

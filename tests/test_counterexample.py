@@ -275,6 +275,17 @@ class TestBundleIO:
         assert err.startswith(f"error: {path}: {place}: ") and token in err
         assert "Traceback" not in err and err.count(str(path)) == 1
 
+    def test_overlong_coefficient_names_file_and_place(self, tmp_path, capsys):
+        path = tmp_path / "bundle.json"
+        write_bundle(construct(24), path)
+        doc = json.loads(path.read_text())
+        doc["lines"][5]["b"][2] = "1/" + "7" * 5000
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line 5 b: integer of 5000 digits exceeds the 4300-digit limit")
+        assert "set_int_max_str_digits" not in err and "Traceback" not in err
+
     def test_crafted_order_is_rejected_before_field_arithmetic(self, tmp_path, capsys):
         # A header-consistent document for Q(zeta_60060) whose vectors are too
         # short: about 300 KB, while Phi_60060 alone takes minutes to compute.

@@ -20,12 +20,19 @@ The certificate references are the earlier O(n^2) slope scans of
 ``verify`` (its parallel witness) and of ``concurrent_family``; the
 production code finds both from one pass over the slopes, so the witness
 pair, the concurrency flag and the verdict must agree exactly.
+
+The rotation reference is the earlier search of ``choose_rotation``: it
+walks 0 and then the Calkin-Wilf enumeration of the positive rationals as
+tangent half-angle parameters and takes the first rotation that gives the
+configuration pairwise distinct x-coordinates.  The closed form must pick
+the same rotation for every vertex count it is compared on.
 """
 
 import importlib
 import json
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -369,3 +376,29 @@ def test_tampered_bundle_agrees_with_double_loops(tmp_path):
     bundle = read_bundle(path)
     assert double_loop_witness(bundle.lines) == (2, 20)
     assert_certificate_agrees(bundle)
+
+
+def searched_rotation(cfg):
+    def parameters():
+        yield Fraction(0)
+        q = Fraction(1)
+        while True:
+            yield q
+            q = 1 / (2 * Fraction(q.numerator // q.denominator) - q + 1)
+
+    for t in islice(parameters(), cfg.total * cfg.total + cfg.total + 8):
+        rot = RationalRotation.from_parameter(t)
+        pts = instantiate_polygon(cfg, rot)
+        if len({p.x for p in pts}) == len(pts):
+            return rot
+    raise AssertionError("the search exceeded its counting bound")
+
+
+@pytest.mark.parametrize("center", [False, True], ids=["plain", "center"])
+@pytest.mark.parametrize("n", range(3, 65))
+def test_rotation_matches_search(n, center):
+    cfg = PolygonConfig(n, center)
+    rot = choose_rotation(cfg)
+    assert rot == searched_rotation(cfg)
+    pts = instantiate_polygon(cfg, rot)
+    assert len({p.x for p in pts}) == len(pts)

@@ -17,7 +17,6 @@ from dircover.polygon import (
     polygon_direction_count,
     polygon_spectrum_closed_form,
     polygon_spectrum_enumerated,
-    rotation_parameters,
 )
 from dircover.spectrum import spectrum
 
@@ -177,21 +176,6 @@ class TestRotationChoice:
     def test_distinct_x_invariant(self, cfg):
         pts = instantiate_polygon(cfg, choose_rotation(cfg))
         assert len({p.x for p in pts}) == len(pts)
-
-    def test_parameter_stream_prefix(self):
-        from itertools import islice
-
-        prefix = list(islice(rotation_parameters(), 8))
-        assert prefix == [
-            Fraction(0),
-            Fraction(1),
-            Fraction(1, 2),
-            Fraction(2),
-            Fraction(1, 3),
-            Fraction(3, 2),
-            Fraction(2, 3),
-            Fraction(3),
-        ]
 
     def test_rotation_validates_unit_circle(self):
         with pytest.raises(ValueError):
