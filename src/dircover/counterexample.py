@@ -271,10 +271,12 @@ def read_bundle(path) -> CounterexampleBundle:
     any field arithmetic, so a crafted document is rejected in linear time.
     """
     with open(path, "r", encoding="utf-8") as fp:
-        try:
-            doc = json.load(fp)
+        try:  # a JSON integer literal passes parse_rational's digit-limit check before int() runs
+            doc = json.load(fp, parse_int=lambda literal: parse_rational(literal).numerator)
         except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
             raise ParseError(f"{path}: invalid JSON ({exc})") from None
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from None
 
     def rational(token, where: str) -> Fraction:
         try:

@@ -39,6 +39,11 @@ RationalLike = Union[int, Fraction]
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
 
 
+def _shown(text: str) -> str:
+    """A token for an error message: whole when short, else a prefix and its length."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse the ``p`` / ``p/q`` text form (optional leading minus) into a Fraction.
 
@@ -46,7 +51,7 @@ def parse_rational(text: str) -> Fraction:
     """
     token = text.strip()
     if not _RATIONAL_RE.fullmatch(token):
-        raise ParseError(f"not a rational: {text!r}")
+        raise ParseError(f"not a rational: {_shown(text)}")
     limit = sys.get_int_max_str_digits()
     longest = max(map(len, token.lstrip("-").split("/")))
     if limit and longest > limit:
@@ -54,7 +59,7 @@ def parse_rational(text: str) -> Fraction:
     if "/" in token:
         num, den = token.split("/")
         if int(den) == 0:
-            raise ParseError(f"zero denominator: {text!r}")
+            raise ParseError(f"zero denominator: {_shown(text)}")
         return Fraction(int(num), int(den))
     return Fraction(int(token))
 

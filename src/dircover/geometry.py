@@ -50,6 +50,14 @@ def cross(ux: Scalar, uy: Scalar, vx: Scalar, vy: Scalar) -> Scalar:
     return ux * vy - uy * vx
 
 
+def _canonical(dx: int, dy: int) -> tuple[int, int]:
+    """The coprime pair parallel to the integer vector (dx, dy), with dx > 0, or (0, 1)."""
+    g = gcd(dx, dy) if dx > 0 or (dx == 0 and dy > 0) else -gcd(dx, dy)
+    if not g:
+        raise DegenerateInputError("zero direction")
+    return dx // g, dy // g
+
+
 @dataclass(frozen=True)
 class Point:
     x: Scalar
@@ -91,15 +99,22 @@ class Direction:
     dy: Scalar
 
     def __post_init__(self):
-        dx, dy = _unify(self.dx, self.dy)
-        if dx == 0 and dy == 0:
-            raise DegenerateInputError("zero direction")
+        dx, dy = (self.dx, self.dy) if type(self.dx) is type(self.dy) is int else _unify(self.dx, self.dy)
         if isinstance(dx, Fraction):
-            a, b = dx.numerator * dy.denominator, dy.numerator * dx.denominator
-            g = gcd(a, b) if a > 0 or (a == 0 and b > 0) else -gcd(a, b)
-            dx, dy = a // g, b // g
+            dx, dy = dx.numerator * dy.denominator, dy.numerator * dx.denominator
+        if type(dx) is int:
+            dx, dy = _canonical(dx, dy)
+        elif dx == 0 and dy == 0:
+            raise DegenerateInputError("zero direction")
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "dy", dy)
+
+    @classmethod
+    def _of_canonical(cls, dx: int, dy: int) -> "Direction":
+        """The direction of a pair already reduced by :func:`_canonical`, not reduced again."""
+        self = object.__new__(cls)
+        self.__dict__.update(dx=dx, dy=dy)
+        return self
 
     @classmethod
     def between(cls, p: Point, q: Point) -> "Direction":

@@ -1,14 +1,15 @@
 """Brute-force spectrum oracle, kept independent of the production engine.
 
-It re-derives the cover partition for every ordered vertex pair from
-scratch, assigning each point to the first compatible anchor by a 3x3
-affine-determinant collinearity test.  No grouping code is shared with
-:mod:`dircover.spectrum`; rational domain only, capped at 10 points.
+It scales its points to integers by their common denominator, then re-derives
+each ordered vertex pair's cover partition from scratch, assigning each point
+to the first compatible anchor by a 3x3 affine-determinant collinearity test.
+No code is shared with :mod:`dircover.spectrum`; rational only, <= 10 points.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import DegenerateInputError
@@ -35,19 +36,21 @@ def oracle_spectrum(points: Sequence[Point]) -> frozenset[int]:
         for j in range(i + 1, len(pts)):
             if pts[i] == pts[j]:
                 raise DegenerateInputError(f"duplicate point at positions {i} and {j}")
+    scale = lcm(*(c.denominator for p in pts for c in (p.x, p.y)))
+    xy = [(int(p.x * scale), int(p.y * scale)) for p in pts]  # exact: scale clears every denominator
     counts = {len(pts)}
     for i in range(len(pts)):
         for j in range(len(pts)):
             if i == j:
                 continue
-            vx = pts[j].x - pts[i].x
-            vy = pts[j].y - pts[i].y
-            anchors: list[Point] = []
-            for p in pts:
-                for q in anchors:
-                    if _det3(q.x, q.y, q.x + vx, q.y + vy, p.x, p.y) == 0:
+            vx = xy[j][0] - xy[i][0]
+            vy = xy[j][1] - xy[i][1]
+            anchors: list[tuple[int, int]] = []
+            for px, py in xy:
+                for qx, qy in anchors:
+                    if _det3(qx, qy, qx + vx, qy + vy, px, py) == 0:
                         break
                 else:
-                    anchors.append(p)
+                    anchors.append((px, py))
             counts.add(len(anchors))
     return frozenset(counts)

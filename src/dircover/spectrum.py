@@ -8,17 +8,18 @@ engine enumerates those and adjoins the generic count |Q| by construction.
 
 One scan over the chords classes them and counts each class's cover lines
 (:func:`pair_directions`); partitions are built only as witnesses, one per
-distinct count.  Every class decision is exact.  For cyclotomic input the
-chords are first bucketed by their slope modulo a prime, which parallel
-chords always share, so the exact test runs about once per chord; no float
-takes part in classing.  Distinctness is checked once, in :func:`spectrum`
-and :func:`stab_spectrum`; the helpers assume it.
+distinct count.  Every class decision is exact.  Rational points become integer
+triples (X, Y, W), W the lcm of a point's own denominators; cyclotomic chords
+are bucketed by slope mod a prime, which parallel chords share, so the exact
+test runs about once per chord.  No float takes part in classing.  Distinctness
+is checked once, in :func:`spectrum` and :func:`stab_spectrum`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import DegenerateInputError, OrderMismatchError
@@ -27,6 +28,7 @@ from .geometry import (
     Direction,
     NonVerticalLine,
     Point,
+    _canonical,
     dual_line_to_point,
     ensure_distinct_lines,
     ensure_distinct_points,
@@ -82,16 +84,22 @@ def _slope_key(points: Sequence[Point]) -> Callable[[int, int], Optional[int]]:
     return key
 
 
+def _homogeneous(p: Point) -> tuple[int, int, int]:
+    """The rational point (X/W, Y/W) as the integers (X, Y, W), W = lcm of its denominators."""
+    w = lcm(p.x.denominator, p.y.denominator)
+    return p.x.numerator * (w // p.x.denominator), p.y.numerator * (w // p.y.denominator), w
+
+
 def pair_directions(points: Sequence[Point]) -> list[tuple[Direction, int]]:
     """Each parallelism class of chord directions, with its cover count.
 
-    One scan over the pairs (i, j), i < j, in index order represents each
-    class by its first chord.  Rational chords, canonical when built, find
-    their class by equality.  Cyclotomic ones, which admit no canonical
-    scaling, are bucketed by their slope mod a prime (:func:`_slope_key`):
-    parallel chords always share a bucket, so the exact cross-product test
-    (:meth:`Direction.parallel_to`) runs only against the classes in the
-    chord's bucket, usually one.
+    One scan over the pairs (i, j), i < j, in index order represents each class
+    by its first chord.  A rational chord is keyed by its canonical direction
+    (Xj·Wi − Xi·Wj, Yj·Wi − Yi·Wj) in lowest terms (:func:`_homogeneous`); a
+    class's Direction is built once, from its key.  Cyclotomic chords are
+    bucketed by slope mod a prime (:func:`_slope_key`): parallel chords always
+    share a bucket, so the exact test (:meth:`Direction.parallel_to`) runs only
+    against the classes in the chord's bucket, usually one.
 
     Within a class, the points on one cover line are pairwise joined by the
     class's chords, so every point but the first on its line is the second
@@ -103,22 +111,25 @@ def pair_directions(points: Sequence[Point]) -> list[tuple[Direction, int]]:
     if n < 2:
         raise DegenerateInputError("need at least 2 points for pair directions")
     slope = None if all(isinstance(p.x, Fraction) for p in pts) else _slope_key(pts)
+    triples = [_homogeneous(p) for p in pts] if slope is None else []
     reps: list[Direction] = []
     seconds: list[set[int]] = []
-    index: dict[Direction, int] = {}
+    index: dict[tuple[int, int], int] = {}
     buckets: dict[Optional[int], list[int]] = {}
     for i in range(n):
         for j in range(i + 1, n):
-            d = Direction.between(pts[i], pts[j])
             if slope is None:
+                (xi, yi, wi), (xj, yj, wj) = triples[i], triples[j]
+                d = _canonical(xj * wi - xi * wj, yj * wi - yi * wj)
                 k = index.setdefault(d, len(reps))
             else:
+                d = Direction.between(pts[i], pts[j])
                 bucket = buckets.setdefault(slope(i, j), [])
                 k = next((m for m in bucket if d.parallel_to(reps[m])), len(reps))
                 if k == len(reps):
                     bucket.append(k)
             if k == len(reps):
-                reps.append(d)
+                reps.append(Direction._of_canonical(*d) if slope is None else d)
                 seconds.append(set())
             seconds[k].add(j)
     return [(d, n - len(js)) for d, js in zip(reps, seconds)]
@@ -129,12 +140,15 @@ def lines_in_direction(points: Sequence[Point], direction: Direction) -> LinePar
 
     Points p, q land on one cover line iff cross(q - p, d) = 0, i.e. iff the
     bilinear key cross(p, d) agrees; grouping by that exact key realizes the
-    equivalence in a single pass.
+    equivalence in one pass.  Rational keys are (W, X·b − Y·a) in lowest terms.
     """
+    a, b = direction.dx, direction.dy
+    if type(a) is int and all(isinstance(p.x, Fraction) for p in points):  # W > 0, so no sign flip
+        keys: list = [_canonical(w, x * b - y * a) for x, y, w in map(_homogeneous, points)]
+    else:
+        keys = [p.x * b - p.y * a for p in points]
     groups: dict[object, list[Point]] = {}
-    dx, dy = direction.dx, direction.dy
-    for p in points:
-        key = p.x * dy - p.y * dx
+    for p, key in zip(points, keys):
         groups.setdefault(key, []).append(p)
     return LinePartition(direction, tuple(tuple(g) for g in groups.values()))
 

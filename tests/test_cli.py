@@ -92,6 +92,14 @@ class TestLongIntegers:
         assert err.startswith(f"error: {path}:2: integer of 5000 digits exceeds the 4300-digit limit")
         assert "set_int_max_str_digits" not in err and "Traceback" not in err
 
+    def test_long_malformed_token_is_shown_shortened(self, tmp_path, capsys):
+        path = tmp_path / "bad.pts"
+        path.write_text("0 0\n1 x" + "9" * 5000 + "\n")
+        assert main(["spectrum", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: not a rational: 'x999") and "(5001 characters)" in err
+        assert err.count("\n") == 1 and len(err) < 200 + len(str(path))
+
     @pytest.mark.parametrize("json_out", [False, True], ids=["text", "json"])
     def test_spectrum_prints_long_directions(self, tmp_path, capsys, json_out):
         big = 10**2999 + 7  # 3000 digits; the chord to (big, 1/big) has a 6000-digit direction

@@ -286,6 +286,16 @@ class TestBundleIO:
         assert err.startswith(f"error: {path}: line 5 b: integer of 5000 digits exceeds the 4300-digit limit")
         assert "set_int_max_str_digits" not in err and "Traceback" not in err
 
+    def test_overlong_json_integer_names_file_and_digits(self, tmp_path, capsys):
+        path = tmp_path / "bundle.json"
+        write_bundle(construct(24), path)
+        doc = path.read_text()
+        path.write_text(doc.replace('"n": 24', '"n": ' + "2" * 5000, 1))
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: integer of 5000 digits exceeds the 4300-digit limit")
+        assert "set_int_max_str_digits" not in err and "Traceback" not in err
+
     def test_crafted_order_is_rejected_before_field_arithmetic(self, tmp_path, capsys):
         # A header-consistent document for Q(zeta_60060) whose vectors are too
         # short: about 300 KB, while Phi_60060 alone takes minutes to compute.

@@ -16,6 +16,15 @@ forced into one bucket shows that the buckets only ever skip tests that
 would have said "not parallel".  The gap scan of ``float_crosscheck`` is
 compared with its earlier double loop.
 
+Rational input runs on integer triples (X, Y, W), one per point.  The
+two-pass reference keeps the earlier ``Fraction`` arithmetic (chord
+directions by ``Direction.between``, cover keys by ``x*dy - y*dx``), so
+agreement on sets with distinct 30-digit denominators, mixed integers and
+fractions, vertical and horizontal chords and large negative coordinates
+shows that the integer keys class and partition exactly as it does.  The
+integer brute-force oracle is compared with a copy of its earlier
+``Fraction`` form, kept here only.
+
 The certificate references are the earlier O(n^2) slope scans of
 ``verify`` (its parallel witness) and of ``concurrent_family``; the
 production code finds both from one pass over the slopes, so the witness
@@ -56,7 +65,9 @@ from dircover.geometry import (
     dual_point_to_line,
     ensure_distinct_lines,
 )
+from dircover.oracle import oracle_spectrum
 from dircover.polygon import PolygonConfig, RationalRotation, choose_rotation, instantiate_polygon
+from dircover.randgen import random_point_set
 from dircover.spectrum import LinePartition, pair_directions, spectrum, stab_spectrum
 
 
@@ -160,6 +171,110 @@ def assert_agrees_with_reference(pts):
 @pytest.mark.parametrize("pts", random_sets() + [pytest.param(LATTICE, id="lattice8")] + polygons())
 def test_agrees_with_two_pass_engine(pts):
     assert_agrees_with_reference(pts)
+
+
+def distinct_rows(rng, size, coord):
+    rows = {}
+    while len(rows) < size:
+        rows.setdefault(Point(coord(), coord()))
+    return list(rows)
+
+
+def rational_corpora():
+    """Rational sets that stress the integer triples: wide, mixed, axis-parallel, far."""
+    rng = random.Random(20221020)
+    axis = [Fraction(k, 3) * 10**20 for k in range(-3, 4)]  # few values: many vertical and horizontal chords
+    cases = []
+    for size in (3, 12, 40):
+        cases.append(pytest.param(
+            distinct_rows(rng, size, lambda: Fraction(rng.randint(-10**30, 10**30), rng.randrange(10**29, 10**30))),
+            id=f"den30-{size}",
+        ))
+        cases.append(pytest.param(
+            distinct_rows(rng, size, lambda: Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 7, 10**30 + 1)))),
+            id=f"mixed-{size}",
+        ))
+        cases.append(pytest.param(distinct_rows(rng, size, lambda: rng.choice(axis)), id=f"axis-{size}"))
+        cases.append(pytest.param(
+            distinct_rows(rng, size, lambda: Fraction(-(10**40) - rng.randint(0, 5), rng.randint(1, 4))),
+            id=f"negative-{size}",
+        ))
+    return cases
+
+
+@pytest.mark.parametrize("pts", rational_corpora())
+def test_integer_kernel_agrees_on_rational_corpora(pts):
+    assert_agrees_with_reference(pts)
+
+
+@pytest.mark.parametrize("dup", [(0, 2), (1, 3)])
+def test_zero_chord_is_a_degenerate_input(dup):
+    pts = [Point(Fraction(1, 2), 3), Point(-5, Fraction(7, 3)), Point(0, 0), Point(10**30, 1)]
+    pts[dup[1]] = pts[dup[0]]
+    with pytest.raises(DegenerateInputError, match="zero direction"):
+        pair_directions(pts)
+
+
+def count_directions_built(monkeypatch):
+    """Counts the Directions built through either constructor: ``Direction(...)`` or ``_of_canonical``."""
+    built = [0]
+    post_init, of_canonical = Direction.__post_init__, Direction._of_canonical.__func__
+
+    def counted_post_init(self):
+        built[0] += 1
+        post_init(self)
+
+    def counted_of_canonical(cls, dx, dy):
+        built[0] += 1
+        return of_canonical(cls, dx, dy)
+
+    monkeypatch.setattr(Direction, "__post_init__", counted_post_init)
+    monkeypatch.setattr(Direction, "_of_canonical", classmethod(counted_of_canonical))
+    return built
+
+
+@pytest.mark.parametrize("which", ["lattice12", "random70"])
+def test_one_direction_built_per_rational_class(which, monkeypatch):
+    if which == "lattice12":
+        pts = [Point(x, y) for x in range(12) for y in range(12)]
+        random.Random(12).shuffle(pts)
+    else:
+        pts = random_point_set(random.Random(70), 70)
+    built = count_directions_built(monkeypatch)
+    classes = pair_directions(pts)
+    assert 0 < built[0] <= len(classes) < len(pts) * (len(pts) - 1) // 2
+
+
+def fraction_det3(ax, ay, bx, by, cx, cy):
+    return (bx * cy - by * cx) - (ax * cy - ay * cx) + (ax * by - ay * bx)
+
+
+def fraction_oracle(pts):
+    """The brute-force oracle as it was on Fractions, before its integer scaling."""
+    counts = {len(pts)}
+    for i in range(len(pts)):
+        for j in range(len(pts)):
+            if i == j:
+                continue
+            vx = pts[j].x - pts[i].x
+            vy = pts[j].y - pts[i].y
+            anchors = []
+            for p in pts:
+                for q in anchors:
+                    if fraction_det3(q.x, q.y, q.x + vx, q.y + vy, p.x, p.y) == 0:
+                        break
+                else:
+                    anchors.append(p)
+            counts.add(len(anchors))
+    return frozenset(counts)
+
+
+@pytest.mark.parametrize("bound", [2, 3, 50, 10**30])
+def test_integer_oracle_agrees_with_fraction_oracle(bound):
+    rng = random.Random(bound)
+    for _ in range(50):
+        pts = random_point_set(rng, rng.randint(1, 10), bound)
+        assert oracle_spectrum(pts) == fraction_oracle(pts)
 
 
 def test_sub_float_perturbation_is_decided_exactly():
