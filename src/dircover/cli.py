@@ -1,17 +1,14 @@
 """Command-line front end: ``dircover <subcommand> ...``.
 
 Exit codes: 0 success, 1 failed check/verification, 2 parse, usage or I/O
-error, 3 degenerate input.  ``DS_PRECISION_BITS`` (default 128, at least 53)
-controls the precision of the decimals ``polygon`` prints; a bad value is
-replaced, with a warning on stderr.  ``counterexample`` always prints 12
-digits computed at 128 bits.
+error, 3 degenerate input.  Decimals are computed at 128 bits: ``polygon``
+prints 39 significant digits, ``counterexample`` 12.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -34,22 +31,6 @@ from .randgen import RandomConfig
 from .spectrum import LinePartition, spectrum, stab_spectrum
 
 _CHECK_DEFAULT_TRIALS = {"duality": 10000, "pinchasi": 1000, "affine": 100, "oracle": 200}
-
-
-def _precision_bits() -> int:
-    raw = os.environ.get("DS_PRECISION_BITS", "128")
-    try:
-        bits = int(raw)
-    except ValueError:
-        bits = None
-    if bits is None or bits < 53:
-        bits = 128 if bits is None else 53
-        print(f"warning: DS_PRECISION_BITS={raw!r} is not an integer >= 53; using {bits}", file=sys.stderr)
-    return bits
-
-
-def _display_digits(bits: int | None = None) -> int:
-    return max(6, round((_precision_bits() if bits is None else bits) * 0.30103))
 
 
 def _positive_int(text: str) -> int:
@@ -145,9 +126,7 @@ def cmd_polygon(args) -> int:
         return 1
     rot = choose_rotation(cfg)
     pts = instantiate_polygon(cfg, rot)
-    bits = _precision_bits()
-    digits = _display_digits(bits)
-    approx = [[approx_str(s, bits, digits) for s in (p.x, p.y)] for p in pts]
+    approx = [[approx_str(s, 39) for s in (p.x, p.y)] for p in pts]
     note = CASE2_NOTE if (not cfg.with_center and cfg.vertices % 2 == 1) else None
     if args.json:
         doc = {

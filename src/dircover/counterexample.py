@@ -226,7 +226,7 @@ def approximate_lines(
     lines: Sequence[NonVerticalLine], digits: int = 12
 ) -> tuple[tuple[str, str], ...]:
     """Decimal renderings of (a, b) per line; display only, never verified against."""
-    return tuple(tuple(approx_str(s, 128, digits) for s in (line.a, line.b)) for line in lines)
+    return tuple(tuple(approx_str(s, digits) for s in (line.a, line.b)) for line in lines)
 
 
 def bundle_to_json(bundle: CounterexampleBundle) -> dict:

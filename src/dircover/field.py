@@ -21,9 +21,9 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, count
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import OrderMismatchError, ParseError
@@ -152,56 +152,38 @@ class CycloElement:
     """An element of Q(zeta_n), reduced mod Phi_n.
 
     Internally the phi(n) rational coefficients share one positive
-    denominator (``_num`` integers over ``_den``), normalized so their
-    collective gcd with the denominator is 1; the zero element is all-zero
-    numerators over denominator 1.  This keeps equality structural and the
-    hot convolution loop in pure integer arithmetic.  Values are immutable;
-    every operation returns a fresh element.
+    denominator (``_num`` integers over ``_den``).  There is one normal
+    form, built in one place, :meth:`_make`: the numerators and the
+    denominator have gcd 1, so the zero element is all-zero numerators over
+    denominator 1.  This keeps equality structural and the hot convolution
+    loop in pure integer arithmetic.  Values are immutable; every operation
+    returns a fresh element.
 
     Rational constants (int or Fraction) mix freely with elements of any
-    order; two CycloElements only combine when their orders agree.
+    order; two CycloElements only combine when their orders agree.  Both
+    halves of that rule live in :func:`_lift`.
     """
 
     __slots__ = ("order", "_num", "_den")
 
     def __init__(self, order: int, coeffs: Iterable[RationalLike]):
         fracs = [Fraction(c) for c in coeffs]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        nums = [int(f * den) for f in fracs]
-        _reduce_mod_cyclo(nums, order)
-        norm = CycloElement._normalized(order, nums, den)
+        den = lcm(*(f.denominator for f in fracs))
+        nums = [f.numerator * (den // f.denominator) for f in fracs]
+        self._make(order, _reduce_mod_cyclo(nums, order), den)
+
+    def _make(self, order: int, nums: list[int], den: int) -> "CycloElement":
+        """Store ``nums`` over ``den`` > 0 in normal form in this element's slots, and return it."""
+        g = gcd(den, *nums)
         self.order = order
-        self._num = norm._num
-        self._den = norm._den
-
-    @classmethod
-    def _raw(cls, order: int, nums: tuple[int, ...], den: int) -> "CycloElement":
-        elem = object.__new__(cls)
-        elem.order = order
-        elem._num = nums
-        elem._den = den
-        return elem
-
-    @classmethod
-    def _normalized(cls, order: int, nums: list[int], den: int) -> "CycloElement":
-        g = den
-        for v in nums:
-            if v:
-                g = gcd(g, v)
-        if g == den and not any(nums):
-            return cls._raw(order, tuple(0 for _ in nums), 1)
-        if g > 1:
-            nums = [v // g for v in nums]
-            den //= g
-        return cls._raw(order, tuple(nums), den)
+        self._num = tuple(nums) if g == 1 else tuple([v // g for v in nums])
+        self._den = den // g
+        return self
 
     @classmethod
     def from_rational(cls, order: int, value: RationalLike) -> "CycloElement":
-        q = Fraction(value)
-        phi = euler_phi(order)
-        return cls._normalized(order, [q.numerator] + [0] * (phi - 1), q.denominator)
+        nums = [value.numerator] + [0] * (euler_phi(order) - 1)
+        return _new()._make(order, nums, value.denominator)
 
     @classmethod
     def zero(cls, order: int) -> "CycloElement":
@@ -216,46 +198,36 @@ class CycloElement:
         """The phi(n) rational coefficients on the basis 1, zeta, ..., zeta^(phi(n)-1)."""
         return tuple(Fraction(v, self._den) for v in self._num)
 
-    def _coerce(self, other):
-        if isinstance(other, CycloElement):
-            if other.order != self.order:
-                raise OrderMismatchError(
-                    f"cannot mix cyclotomic orders {self.order} and {other.order}"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CycloElement.from_rational(self.order, other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
+    def _combine(self, other, sign: int):
+        """self + sign * other, for sign 1 or -1."""
+        o = _lift(other, self.order)
         if o is None:
             return NotImplemented
         g = gcd(self._den, o._den)
         m_self = o._den // g
-        m_other = self._den // g
+        m_other = sign * (self._den // g)
         nums = [a * m_self + b * m_other for a, b in zip(self._num, o._num)]
-        return CycloElement._normalized(self.order, nums, self._den * m_self)
+        return _new()._make(self.order, nums, self._den * m_self)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloElement._raw(self.order, tuple(-v for v in self._num), self._den)
+        return _new()._make(self.order, [-v for v in self._num], self._den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _lift(other, self.order)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o._combine(self, -1)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _lift(other, self.order)
         if o is None:
             return NotImplemented
         phi = len(self._num)
@@ -266,7 +238,7 @@ class CycloElement:
                     if b:
                         prod[i + j] += a * b
         _reduce_mod_cyclo(prod, self.order)
-        return CycloElement._normalized(self.order, prod, self._den * o._den)
+        return _new()._make(self.order, prod, self._den * o._den)
 
     __rmul__ = __mul__
 
@@ -291,7 +263,7 @@ class CycloElement:
             if c:
                 acc[(n - e) % n] += c
         _reduce_mod_cyclo(acc, n)
-        return CycloElement._normalized(n, acc, self._den)
+        return _new()._make(n, acc, self._den)
 
     def is_zero(self) -> bool:
         """Exact zero test: all coefficients vanish.  No tolerance is involved."""
@@ -299,11 +271,6 @@ class CycloElement:
 
     def is_rational(self) -> bool:
         return not any(self._num[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not a rational constant")
-        return Fraction(self._num[0], self._den)
 
     def approx(self, precision_bits: int = 53) -> mpmath.mpc:
         """Evaluate the coefficient polynomial at zeta_n = e^(2*pi*i/n).
@@ -332,14 +299,15 @@ class CycloElement:
         if isinstance(other, CycloElement):
             if other.order == self.order:
                 return self._num == other._num and self._den == other._den
-            if self.is_rational() and other.is_rational():
-                return self.as_rational() == other.as_rational()
-            raise OrderMismatchError(
-                f"cannot compare cyclotomic orders {self.order} and {other.order}"
-            )
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.as_rational() == other
-        return NotImplemented
+            if not (self.is_rational() and other.is_rational()):
+                _lift(other, self.order)  # raises: the orders clash
+            num, den = other._num[0], other._den
+        elif isinstance(other, (int, Fraction)):
+            num, den = other.numerator, other.denominator
+        else:
+            return NotImplemented
+        # A rational constant's normal form is its reduced fraction in the constant term.
+        return self._den == den and self._num[0] == num and self.is_rational()
 
     def __hash__(self):
         # Rational constants hash like their Fraction value so that embedded
@@ -365,6 +333,25 @@ class CycloElement:
 
     def __repr__(self):
         return f"<CycloElement order={self.order}: {self}>"
+
+
+_new = partial(object.__new__, CycloElement)
+"""A blank element, for :meth:`CycloElement._make` to fill."""
+
+
+def _lift(value, order: int) -> Optional[CycloElement]:
+    """The one lifting rule: a scalar as an element of Q(zeta_order), or None if it is no scalar.
+
+    An int or Fraction joins as a constant; a CycloElement of another order
+    raises :class:`OrderMismatchError`.
+    """
+    if isinstance(value, CycloElement):
+        if value.order != order:
+            raise OrderMismatchError(f"cannot mix cyclotomic orders {order} and {value.order}")
+        return value
+    if isinstance(value, (int, Fraction)):
+        return CycloElement.from_rational(order, value)
+    return None
 
 
 def zeta(order: int, power: int = 1) -> CycloElement:
@@ -424,8 +411,8 @@ def approx_real(value: Union[Fraction, CycloElement], precision_bits: int) -> mp
     return value.approx(precision_bits).real
 
 
-def approx_str(value: Union[Fraction, CycloElement], precision_bits: int, digits: int) -> str:
-    """The real part of a scalar as ``digits`` significant decimals; display only."""
+def approx_str(value: Union[Fraction, CycloElement], digits: int) -> str:
+    """``digits`` significant decimals of :func:`approx_real` at 128 bits; display only."""
     import mpmath  # deferred: only decimal output needs it
 
-    return mpmath.nstr(approx_real(value, precision_bits), digits)
+    return mpmath.nstr(approx_real(value, 128), digits)

@@ -7,7 +7,9 @@ map, which is what every construction here exploits.  Vertical lines are
 unrepresentable on purpose; vertical probes are handled as directions.
 
 Everything is generic over the scalar domain (Fraction or CycloElement)
-and decided by exact zero tests.
+and decided by exact zero tests.  A coordinate pair shares one domain:
+:func:`_unify` lifts a rational next to a cyclotomic coordinate, or
+refuses two orders, by the field's one lifting rule, ``field._lift``.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence, Union
 
-from .errors import DegenerateInputError, OrderMismatchError
-from .field import CycloElement
+from .errors import DegenerateInputError
+from .field import CycloElement, _lift
 
 Scalar = Union[Fraction, CycloElement]
 
@@ -33,15 +35,10 @@ def _as_scalar(value) -> Scalar:
 
 def _unify(x, y) -> tuple[Scalar, Scalar]:
     x, y = _as_scalar(x), _as_scalar(y)
-    if isinstance(x, CycloElement) and isinstance(y, CycloElement):
-        if x.order != y.order:
-            raise OrderMismatchError(
-                f"coordinates from different fields: orders {x.order} and {y.order}"
-            )
-    elif isinstance(x, CycloElement):
-        y = CycloElement.from_rational(x.order, y)
-    elif isinstance(y, CycloElement):
-        x = CycloElement.from_rational(y.order, x)
+    if isinstance(x, CycloElement):
+        return x, _lift(y, x.order)
+    if isinstance(y, CycloElement):
+        return _lift(x, y.order), y
     return x, y
 
 

@@ -309,31 +309,14 @@ class TestCheckCommand:
 
 
 class TestPrecisionEnv:
-    def test_digits_follow_env(self, monkeypatch):
-        from dircover.cli import _display_digits, _precision_bits
-
-        monkeypatch.setenv("DS_PRECISION_BITS", "256")
-        assert _precision_bits() == 256
-        assert _display_digits() == 77
-        monkeypatch.setenv("DS_PRECISION_BITS", "10")
-        assert _precision_bits() == 53
-        monkeypatch.setenv("DS_PRECISION_BITS", "junk")
-        assert _precision_bits() == 128
-        monkeypatch.delenv("DS_PRECISION_BITS")
-        assert _precision_bits() == 128
-
-    @pytest.mark.parametrize("value, used", [("junk", "128"), ("10", "53"), ("1.5", "128")])
-    def test_bad_value_warns_once_and_keeps_stdout(self, monkeypatch, capsys, value, used):
-        monkeypatch.setenv("DS_PRECISION_BITS", used)
+    def test_polygon_decimals_ignore_the_environment(self, monkeypatch, capsys):
+        monkeypatch.delenv("DS_PRECISION_BITS", raising=False)
         assert main(["polygon", "--n", "9", "--json"]) == 0
         expected = capsys.readouterr()
-        assert expected.err == ""
-        monkeypatch.setenv("DS_PRECISION_BITS", value)
-        assert main(["polygon", "--n", "9", "--json"]) == 0
-        got = capsys.readouterr()
-        assert got.out == expected.out
-        warnings = got.err.splitlines()
-        assert len(warnings) == 1 and repr(value) in warnings[0] and f"using {used}" in warnings[0]
+        for value in ("256", "junk"):
+            monkeypatch.setenv("DS_PRECISION_BITS", value)
+            assert main(["polygon", "--n", "9", "--json"]) == 0
+            assert capsys.readouterr() == (expected.out, "")
 
 
 class TestStartUp:

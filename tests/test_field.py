@@ -23,6 +23,7 @@ from dircover.field import (
     parse_rational,
     zeta,
 )
+from dircover.geometry import Direction, NonVerticalLine, Point
 
 
 def _divide_by_x_minus_1(desc_coeffs):
@@ -197,6 +198,25 @@ class TestDomainDiscipline:
             zeta(6) * zeta(7)
         with pytest.raises(OrderMismatchError):
             zeta(6) == zeta(7)
+
+    @pytest.mark.parametrize(
+        "clash",
+        [
+            lambda: zeta(6) - zeta(7),
+            lambda: zeta(7).__rsub__(zeta(6)),
+            lambda: Point(zeta(6), zeta(7)),
+            lambda: NonVerticalLine(zeta(6), zeta(7)),
+            lambda: Direction(zeta(6), zeta(7)),
+        ],
+        ids=["sub", "rsub", "Point", "NonVerticalLine", "Direction"],
+    )
+    def test_one_lifting_rule_refuses_mixed_orders(self, clash):
+        with pytest.raises(OrderMismatchError):
+            clash()
+
+    def test_float_is_no_exact_scalar(self):
+        with pytest.raises(TypeError):
+            zeta(6) - 0.5
 
     def test_rational_constants_cross_orders(self):
         assert CycloElement.from_rational(6, 5) == CycloElement.from_rational(7, 5)

@@ -1,6 +1,7 @@
 """Property-based tests for the algebraic and geometric invariants."""
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -121,6 +122,27 @@ class TestRingLaws:
         (a,) = batch
         z = a - a
         assert z.is_zero() and abs(z.approx()) == 0
+
+
+def assert_normal(e: CycloElement) -> None:
+    """The one normal form: phi(n) numerators over a positive denominator, jointly coprime."""
+    assert len(e._num) == euler_phi(e.order)
+    assert e._den > 0 and gcd(e._den, *e._num) == 1
+    assert any(e._num) or e._den == 1
+
+
+class TestNormalForm:
+    @settings(max_examples=80, deadline=None)
+    @given(cyclo_batch(2), small_rationals, st.integers(0, 30), st.integers(0, 4))
+    def test_every_operation_returns_the_normal_form(self, batch, r, k, e):
+        a, b = batch
+        n = a.order
+        made = [a, b, CycloElement.from_rational(n, r), zeta(n, k), a + b, a - b, r - a, a - r]
+        made += [a * b, -a, a.conjugate(), a**e, a - a]
+        for x in made:
+            assert_normal(x)
+        assert a - b == a + (-b)
+        assert r - a == -(a - r)
 
 
 class TestDualityLemma:
