@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 failed check/verification, 2 parse, usage or I/O
 error, 3 degenerate input.  Decimals are computed at 128 bits: ``polygon``
-prints 39 significant digits, ``counterexample`` 12.
+prints 39 significant digits, ``counterexample`` 12.  Each command imports
+the dircover modules it calls, so a process loads no code it does not run.
 """
 
 from __future__ import annotations
@@ -10,25 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
-from .checks import CheckReport, affine_check, duality_check, oracle_check, pinchasi_check
-from .counterexample import bundle_to_json, construct, family_config, read_bundle, verify, write_bundle
 from .errors import DegenerateInputError, DirCoverError, ParseError
-from .field import approx_str, format_rational
-from .fileio import format_lines, format_points, parse_lines, parse_points
-from .geometry import dual_line_to_point, dual_point_to_line
-from .polygon import (
-    CASE2_NOTE,
-    PolygonConfig,
-    choose_rotation,
-    field_order,
-    instantiate_polygon,
-    polygon_spectrum_closed_form,
-    polygon_spectrum_enumerated,
-)
-from .randgen import RandomConfig
-from .spectrum import LinePartition, spectrum, stab_spectrum
 
 _CHECK_DEFAULT_TRIALS = {"duality": 10000, "pinchasi": 1000, "affine": 100, "oracle": 200}
 
@@ -52,7 +36,9 @@ def _write_text(path: str, text: str) -> None:
         fp.write(text)
 
 
-def _witness_doc(part: LinePartition, index: dict) -> dict:
+def _witness_doc(part, index: dict) -> dict:
+    from .field import format_rational
+
     return {
         "direction": [format_rational(part.direction.dx), format_rational(part.direction.dy)],
         "generic": part.generic,
@@ -61,6 +47,10 @@ def _witness_doc(part: LinePartition, index: dict) -> dict:
 
 
 def cmd_spectrum(args) -> int:
+    from .field import format_rational
+    from .fileio import parse_points
+    from .spectrum import spectrum
+
     pts = parse_points(_read_text(args.file), args.file)
     rep = spectrum(pts)
     if args.json:
@@ -87,6 +77,9 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_stab(args) -> int:
+    from .fileio import parse_lines
+    from .spectrum import stab_spectrum
+
     lines = parse_lines(_read_text(args.file), args.file)
     counts = sorted(stab_spectrum(lines))
     if args.json:
@@ -98,6 +91,9 @@ def cmd_stab(args) -> int:
 
 
 def cmd_dualize(args) -> int:
+    from .fileio import format_lines, format_points, parse_lines, parse_points
+    from .geometry import dual_line_to_point, dual_point_to_line
+
     text = _read_text(args.input)
     if args.kind == "points":
         out = format_lines([dual_point_to_line(p) for p in parse_points(text, args.input)])
@@ -111,6 +107,17 @@ def cmd_dualize(args) -> int:
 
 
 def cmd_polygon(args) -> int:
+    from .field import approx_str, format_rational
+    from .polygon import (
+        CASE2_NOTE,
+        PolygonConfig,
+        choose_rotation,
+        field_order,
+        instantiate_polygon,
+        polygon_spectrum_closed_form,
+        polygon_spectrum_enumerated,
+    )
+
     cfg = PolygonConfig(args.n, args.center)
     enumerated = polygon_spectrum_enumerated(cfg)
     try:
@@ -164,6 +171,9 @@ def cmd_polygon(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    from .counterexample import bundle_to_json, construct, family_config, write_bundle
+    from .field import format_rational
+
     if args.out:  # refuse a bad family or path before any field work; "a" truncates nothing
         family_config(args.n, args.variant)
         open(args.out, "a", encoding="utf-8").close()
@@ -195,6 +205,8 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .counterexample import read_bundle, verify
+
     bundle = read_bundle(args.file)
     rep = verify(bundle)
     print(f"verify: n={bundle.n}, {len(bundle.lines)} lines, field order {bundle.field_order}")
@@ -219,6 +231,11 @@ def _spread(total: int, buckets: int) -> list[int]:
 
 
 def cmd_check(args) -> int:
+    from dataclasses import replace
+
+    from .checks import CheckReport, affine_check, duality_check, oracle_check, pinchasi_check
+    from .randgen import RandomConfig
+
     if args.size is not None and args.suite in ("duality", "pinchasi"):
         raise ValueError(f"check {args.suite} does not read --size")
     trials = args.trials if args.trials is not None else _CHECK_DEFAULT_TRIALS[args.suite]

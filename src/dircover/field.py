@@ -31,9 +31,6 @@ from .errors import OrderMismatchError, ParseError
 if TYPE_CHECKING:
     import mpmath  # imported only inside the functions that need it
 
-Rational = Fraction
-"""Alias for the rational coordinate scalar type."""
-
 RationalLike = Union[int, Fraction]
 
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
@@ -401,13 +398,14 @@ def residue(value: Union[Fraction, CycloElement], p: int, w: int) -> Optional[in
 def approx_real(value: Union[Fraction, CycloElement], precision_bits: int) -> mpmath.mpf:
     """The real part of a scalar as an mpmath number; display and cross-checks only.
 
-    A Fraction is divided out at mpmath's working precision; a CycloElement
-    is evaluated by :meth:`CycloElement.approx` at ``precision_bits``.
+    A Fraction is divided out, and a CycloElement evaluated by
+    :meth:`CycloElement.approx`, at ``precision_bits`` plus 10 guard bits.
     """
     import mpmath  # deferred: only decimal output needs it
 
     if isinstance(value, Fraction):
-        return mpmath.mpf(value.numerator) / value.denominator
+        with mpmath.workprec(precision_bits + 10):
+            return mpmath.mpf(value.numerator) / value.denominator
     return value.approx(precision_bits).real
 
 

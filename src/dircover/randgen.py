@@ -39,7 +39,7 @@ def random_point_set(rng: random.Random, size: int, bound: int = 50) -> list[Poi
         if p in seen:
             misses += 1
             if misses > 100 * size + 1000:
-                raise RuntimeError("coordinate bound too small for requested set size")
+                raise ValueError("coordinate bound too small for requested set size")
             continue
         seen.add(p)
         pts.append(p)

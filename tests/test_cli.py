@@ -219,7 +219,7 @@ class TestCounterexampleAndVerify:
         def no_field_work(*args, **kwargs):
             raise AssertionError("construct ran before --out was opened")
 
-        monkeypatch.setattr("dircover.cli.construct", no_field_work)
+        monkeypatch.setattr("dircover.counterexample.construct", no_field_work)
         out = tmp_path / "no-such-dir" / "b.json"
         assert main(["counterexample", "--n", "48", "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -301,6 +301,16 @@ class TestCheckCommand:
             assert f"5 sets of {sizes} points" in capsys.readouterr().out
         assert main(["check", "affine", "--trials", "5", "--size", "4"]) == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["pinchasi", "--bound", "1"], ["affine", "--bound", "1", "--size", "12", "--trials", "3"]],
+        ids=["pinchasi", "affine"],
+    )
+    def test_bound_too_small_is_a_usage_error(self, argv, capsys):
+        assert main(["check", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_reports_are_byte_identical_across_runs(self, capsys):
         main(["check", "duality", "--trials", "50", "--seed", "11"])
         first = capsys.readouterr().out
@@ -319,32 +329,71 @@ class TestPrecisionEnv:
             assert capsys.readouterr() == (expected.out, "")
 
 
+# What each command must never import: its modules are exactly the ones it calls.
+_SPECTRUM_NEVER = {"counterexample", "polygon", "checks", "randgen", "oracle"}
+_CHECK_NEVER = {"counterexample", "polygon", "fileio"}
+_CERTIFY_NEVER = {"checks", "randgen", "oracle", "fileio"}
+
+
+def _fresh_interpreter(script: str, *argv: str) -> list[str]:
+    """Stdout lines of ``script`` run with ``argv`` in a new interpreter that imports this dircover."""
+    import dircover
+
+    env = {**os.environ, "PYTHONPATH": str(Path(dircover.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.stderr == ""
+    return done.stdout.splitlines()
+
+
+_LOADED = (
+    "import sys\nfrom dircover.cli import main\ncode = main(sys.argv[1:])\n"
+    "print(code, 'mpmath' in sys.modules, *sorted(m[9:] for m in sys.modules if m.startswith('dircover.')))"
+)
+
+
 class TestStartUp:
+    @pytest.fixture
+    def bundle(self, tmp_path):
+        from dircover.counterexample import construct, write_bundle
+
+        path = tmp_path / "b.json"
+        write_bundle(construct(7), path)
+        return path
+
     @pytest.mark.parametrize(
-        "argv",
+        "argv, needs, never",
         [
-            ["spectrum", "{square}"],
-            ["stab", "{lines}"],
-            ["verify", "{bundle}"],
-            ["check", "duality", "--trials", "20"],
-            ["check", "pinchasi", "--trials", "20"],
-            ["check", "affine", "--trials", "5"],
-            ["check", "oracle", "--trials", "5"],
+            (["spectrum", "{square}"], "spectrum", _SPECTRUM_NEVER),
+            (["stab", "{lines}"], "spectrum", _SPECTRUM_NEVER),
+            (["verify", "{bundle}"], "counterexample", _CERTIFY_NEVER),
+            (["check", "duality", "--trials", "20"], "checks", _CHECK_NEVER),
+            (["check", "pinchasi", "--trials", "20"], "checks", _CHECK_NEVER),
+            (["check", "affine", "--trials", "5"], "checks", _CHECK_NEVER),
+            (["check", "oracle", "--trials", "5"], "checks", _CHECK_NEVER),
         ],
         ids=["spectrum", "stab", "verify", "duality", "pinchasi", "affine", "oracle"],
     )
-    def test_exact_commands_do_not_load_mpmath(self, tmp_path, square_file, argv):
-        import dircover
-        from dircover.counterexample import construct, write_bundle
-
+    def test_exact_commands_do_not_load_mpmath(self, tmp_path, square_file, bundle, argv, needs, never):
         lines = tmp_path / "fam.lines"
         lines.write_text("1 0\n2 1\n-1 3\n")
-        bundle = tmp_path / "b.json"
-        write_bundle(construct(7), bundle)
         argv = [a.format(square=square_file, lines=lines, bundle=bundle) for a in argv]
-        script = "import sys\nfrom dircover.cli import main\nprint(main(sys.argv[1:]), 'mpmath' in sys.modules)"
-        env = {**os.environ, "PYTHONPATH": str(Path(dircover.__file__).parents[1])}
-        done = subprocess.run(
-            [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120
-        )
-        assert done.stderr == "" and done.stdout.splitlines()[-1] == "0 False"
+        code, mpmath_loaded, *loaded = _fresh_interpreter(_LOADED, *argv)[-1].split()
+        assert (code, mpmath_loaded) == ("0", "False")
+        assert needs in loaded and not never & set(loaded)
+
+    def test_counterexample_loads_only_what_it_calls(self):
+        code, _, *loaded = _fresh_interpreter(_LOADED, "counterexample", "--n", "7")[-1].split()
+        assert code == "0" and "counterexample" in loaded and not _CERTIFY_NEVER & set(loaded)
+
+    def test_importing_the_cli_loads_no_command(self):
+        script = "import sys\nimport dircover.cli\nprint(*sorted(m for m in sys.modules if m.startswith('dircover')))"
+        assert _fresh_interpreter(script)[-1].split() == ["dircover", "dircover.cli", "dircover.errors"]
+
+    def test_submodule_import_binds_the_module(self):
+        import types
+
+        import dircover.spectrum as m
+
+        assert isinstance(m, types.ModuleType) and callable(m.spectrum)

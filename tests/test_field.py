@@ -17,6 +17,7 @@ from dircover.field import (
     CycloElement,
     _cyclotomic_terms,
     _reduce_mod_cyclo,
+    approx_str,
     cyclotomic_poly,
     euler_phi,
     format_rational,
@@ -188,6 +189,11 @@ class TestApprox:
             exact = 2 * mpmath.cos(2 * mpmath.pi / 7)
             got = (zeta(7) + zeta(7, 6)).approx(256).real
             assert abs(got - exact) < mpmath.mpf(2) ** -200
+
+    def test_fraction_decimals_follow_the_precision(self):
+        third = approx_str(Fraction(1, 3), 39)
+        assert third == "0." + "3" * 39
+        assert third == approx_str(CycloElement.from_rational(12, Fraction(1, 3)), 39)
 
 
 class TestDomainDiscipline:
