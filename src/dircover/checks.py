@@ -55,16 +55,15 @@ class CheckReport:
         self.lines.extend(other.lines)
 
 
-def duality_check(cfg: RandomConfig, engineered: int | None = None) -> CheckReport:
+def duality_check(cfg: RandomConfig) -> CheckReport:
     """incident(p, dual(q)) must equal incident(q, dual(p)) for all pairs.
 
     Random generic pairs are almost never incident, so an extra batch of
-    engineered coincidences (the defining equality forced to hold exactly)
-    exercises the true branch as well.
+    engineered coincidences (the defining equality forced to hold exactly),
+    one per ten random pairs, exercises the true branch as well.
     """
     rng = make_rng(cfg)
-    if engineered is None:
-        engineered = max(1, cfg.count // 10)
+    engineered = max(1, cfg.count // 10)
     rep = CheckReport("duality")
     bound = cfg.coordinate_bound
     for _ in range(cfg.count):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import ParseError
 from .field import CycloElement, approx_real, approx_str, euler_phi, format_rational, parse_rational
@@ -122,22 +122,17 @@ def _meet_point(l1: NonVerticalLine, l2: NonVerticalLine) -> Optional[tuple[str,
     return (format_rational(x), format_rational(y))
 
 
-def verify(
-    bundle: CounterexampleBundle, forbidden: Optional[Iterable[int]] = None
-) -> VerificationReport:
-    """Re-derive the certificate from the bundle's exact line coefficients."""
-    lines = list(bundle.lines)
-    n = bundle.n
-    if len(lines) != n:
-        raise ValueError(f"malformed bundle: {len(lines)} lines for n={n}")
-    domains = {
-        s.order if isinstance(s, CycloElement) else "rational"
-        for line in lines
-        for s in (line.a, line.b)
-    }
-    if len(domains) > 1:
-        raise ValueError(f"malformed bundle: mixed coordinate domains {sorted(map(str, domains))}")
-    forbidden_set = frozenset(forbidden) if forbidden is not None else frozenset({n - 1, n - 2})
+def verify(bundle: CounterexampleBundle) -> VerificationReport:
+    """Re-derive the certificate from the bundle's exact line coefficients.
+
+    The forbidden counts are n-1 and n-2 for the n lines given.  It trusts,
+    and does not re-check, what its two producers :func:`read_bundle` and
+    :func:`construct` guarantee: ``bundle.n`` lines with real coefficients.
+    Rational and cyclotomic coefficients may mix; every predicate stays exact.
+    """
+    lines = bundle.lines
+    n = len(lines)
+    forbidden = frozenset({n - 1, n - 2})
 
     # Lexicographically first parallel pair: least first index of a repeated slope, its 2nd index.
     first: dict = {}
@@ -157,8 +152,8 @@ def verify(
         nonconcurrent=not is_concurrent,
         concurrency_witness=witness,
         stab_counts=stab,
-        forbidden=forbidden_set,
-        forbidden_hit=stab & forbidden_set,
+        forbidden=forbidden,
+        forbidden_hit=stab & forbidden,
     )
 
 
@@ -222,11 +217,9 @@ def _has_ambiguous_gap(ys: Sequence[float], epsilon: float) -> bool:
     return False
 
 
-def approximate_lines(
-    lines: Sequence[NonVerticalLine], digits: int = 12
-) -> tuple[tuple[str, str], ...]:
-    """Decimal renderings of (a, b) per line; display only, never verified against."""
-    return tuple(tuple(approx_str(s, digits) for s in (line.a, line.b)) for line in lines)
+def approximate_lines(lines: Sequence[NonVerticalLine]) -> tuple[tuple[str, str], ...]:
+    """12-digit decimal renderings of (a, b) per line; display only, never verified against."""
+    return tuple(tuple(approx_str(s, 12) for s in (line.a, line.b)) for line in lines)
 
 
 def bundle_to_json(bundle: CounterexampleBundle) -> dict:
@@ -305,10 +298,11 @@ def read_bundle(path) -> CounterexampleBundle:
                 if not isinstance(raw, list) or len(raw) != phi:
                     raise ParseError(f"{path}: {where}: expected {phi} coefficients")
                 vectors.append([rational(t, where) for t in raw])
-        lines = tuple(
-            NonVerticalLine(CycloElement(order, a), CycloElement(order, b))
-            for a, b in zip(vectors[::2], vectors[1::2])
-        )
+        scalars = [CycloElement(order, v) for v in vectors]
+        for k, s in enumerate(scalars):
+            if s.conjugate() != s:
+                raise ParseError(f"{path}: line {k // 2} {'ab'[k % 2]}: coefficient is not real")
+        lines = tuple(NonVerticalLine(a, b) for a, b in zip(scalars[::2], scalars[1::2]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed bundle document ({exc})") from None
     return CounterexampleBundle(n=n, config=config, rotation=rotation, lines=lines, field_order=order)

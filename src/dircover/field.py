@@ -186,10 +186,6 @@ class CycloElement:
     def zero(cls, order: int) -> "CycloElement":
         return cls.from_rational(order, 0)
 
-    @classmethod
-    def one(cls, order: int) -> "CycloElement":
-        return cls.from_rational(order, 1)
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The phi(n) rational coefficients on the basis 1, zeta, ..., zeta^(phi(n)-1)."""
@@ -239,19 +235,6 @@ class CycloElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        result = CycloElement.one(self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def conjugate(self) -> "CycloElement":
         """Image under the automorphism zeta -> zeta^(n-1), i.e. complex conjugation."""
         n = self.order
@@ -261,10 +244,6 @@ class CycloElement:
                 acc[(n - e) % n] += c
         _reduce_mod_cyclo(acc, n)
         return _new()._make(n, acc, self._den)
-
-    def is_zero(self) -> bool:
-        """Exact zero test: all coefficients vanish.  No tolerance is involved."""
-        return not any(self._num)
 
     def is_rational(self) -> bool:
         return not any(self._num[1:])

@@ -145,10 +145,6 @@ def incident(p: Point, line: NonVerticalLine) -> bool:
     return p.y + line.a * p.x + line.b == 0
 
 
-def parallel(l1: NonVerticalLine, l2: NonVerticalLine) -> bool:
-    return l1.a == l2.a
-
-
 def collinear(p: Point, q: Point, r: Point) -> bool:
     return cross(q.x - p.x, q.y - p.y, r.x - p.x, r.y - p.y) == 0
 
@@ -204,10 +200,6 @@ class AffineMap:
             raise ValueError("singular matrix")
         object.__setattr__(self, "m", ((m00, m01), (m10, m11)))
         object.__setattr__(self, "t", (tx, ty))
-
-    @classmethod
-    def identity(cls) -> "AffineMap":
-        return cls(((1, 0), (0, 1)), (0, 0))
 
     def apply(self, p: Point) -> Point:
         (m00, m01), (m10, m11) = self.m

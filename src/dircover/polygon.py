@@ -11,6 +11,7 @@ for cross-validation and for building dual line families.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -35,6 +36,8 @@ class PolygonConfig:
     def __post_init__(self):
         if self.vertices < 3:
             raise ValueError(f"polygon needs at least 3 vertices, got {self.vertices}")
+        if field_order(self.vertices) > sys.maxsize:  # past it, range() and list sizes overflow
+            raise ValueError(f"{self.vertices} vertices is too many: the field order exceeds {sys.maxsize}")
 
     @property
     def total(self) -> int:
@@ -124,10 +127,6 @@ class RationalRotation:
             raise ValueError(f"({c}, {s}) is not on the unit circle")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "s", s)
-
-    @classmethod
-    def identity(cls) -> "RationalRotation":
-        return cls(Fraction(1), Fraction(0))
 
     @classmethod
     def from_parameter(cls, t) -> "RationalRotation":

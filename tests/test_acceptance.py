@@ -101,7 +101,7 @@ def test_03_closed_forms(capsys):
 def test_04_duality_lemma_suite():
     with criterion(4, "duality lemma property suite"):
         t0 = time.perf_counter()
-        report = duality_check(RandomConfig(seed=42, count=10000), engineered=1000)
+        report = duality_check(RandomConfig(seed=42, count=10000))
         assert report.passed == 11000 and report.failed == 0
         assert time.perf_counter() - t0 < 5.0
 

@@ -235,6 +235,18 @@ class TestCounterexampleAndVerify:
         assert old.read_text() == "kept\n" and not new.exists()
 
 
+@pytest.mark.parametrize("command", ["counterexample", "polygon"])
+def test_huge_n_is_refused_in_bounded_time(command):
+    # Past sys.maxsize the field order overflows list sizes, and range(n) never ends.
+    import dircover
+
+    env = {**os.environ, "PYTHONPATH": str(Path(dircover.__file__).parents[1])}
+    argv = [sys.executable, "-m", "dircover.cli", command, "--n", str(10**20)]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=5)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+
+
 class TestCheckCommand:
     def test_duality_suite(self, capsys):
         assert main(["check", "duality", "--trials", "200", "--seed", "1"]) == 0

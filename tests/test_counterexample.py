@@ -1,6 +1,7 @@
 """Construction and certification tests for the dual line families."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,21 +16,27 @@ from dircover.counterexample import (
 )
 from dircover.cli import main
 from dircover.errors import ParseError
-from dircover.field import cyclotomic_poly
+from dircover.field import CycloElement, cyclotomic_poly, zeta
 from dircover.geometry import AffineMap, NonVerticalLine, Point, affine_apply, dual_point_to_line
 from dircover.polygon import PolygonConfig, RationalRotation, choose_rotation, instantiate_polygon
 from dircover.spectrum import stab_spectrum
 
 
-def synthetic_bundle(lines, n=None):
-    """Bundle wrapper for hand-built rational families (verify only reads n and lines)."""
+def synthetic_bundle(lines):
+    """Bundle wrapper for hand-built rational families (verify reads only the lines)."""
     return CounterexampleBundle(
-        n=len(lines) if n is None else n,
+        n=len(lines),
         config=PolygonConfig(max(3, len(lines))),
-        rotation=RationalRotation.identity(),
+        rotation=RationalRotation(1, 0),
         lines=tuple(lines),
         field_order=1,
     )
+
+
+def sheared_square_lines():
+    shear = AffineMap(((1, Fraction(1, 3)), (0, 1)))
+    square = [Point(0, 0), Point(1, 0), Point(0, 1), Point(1, 1)]
+    return [dual_point_to_line(p) for p in affine_apply(shear, square)]
 
 
 class TestConstruct:
@@ -91,10 +98,7 @@ class TestVerify:
         assert report.verdict == "fail"
 
     def test_sheared_square_hits_forbidden(self):
-        shear = AffineMap(((1, Fraction(1, 3)), (0, 1)))
-        square = [Point(0, 0), Point(1, 0), Point(0, 1), Point(1, 1)]
-        lines = [dual_point_to_line(p) for p in affine_apply(shear, square)]
-        report = verify(synthetic_bundle(lines))
+        report = verify(synthetic_bundle(sheared_square_lines()))
         assert report.stab_counts == {2, 3, 4}
         assert report.forbidden == {3, 2}
         assert report.forbidden_hit == {2, 3}
@@ -107,21 +111,13 @@ class TestVerify:
         assert report.parallel_witness == (0, 2)
         assert report.verdict == "fail"
 
-    def test_custom_forbidden_set(self):
-        bundle = construct(7)
-        report = verify(bundle, forbidden={4})
-        assert report.forbidden_hit == {4}
-        assert report.verdict == "fail"
-
-    def test_malformed_bundles(self):
-        bundle = construct(7)
-        with pytest.raises(ValueError):
-            verify(synthetic_bundle(bundle.lines[:6], n=7))
-        mixed = synthetic_bundle(
-            list(bundle.lines[:6]) + [NonVerticalLine(Fraction(1), Fraction(2))], n=7
-        )
-        with pytest.raises(ValueError):
-            verify(mixed)
+    def test_mixed_domains_give_the_rational_report(self):
+        # verify refuses no mix of domains: one line embedded in Q(zeta_12) changes no field
+        lines = sheared_square_lines()
+        mixed = list(lines)
+        mixed[2] = NonVerticalLine(*(CycloElement.from_rational(12, s) for s in (lines[2].a, lines[2].b)))
+        assert isinstance(mixed[2].a, CycloElement)
+        assert verify(synthetic_bundle(mixed)) == verify(synthetic_bundle(lines))
 
 
 class TestNegativeControl:
@@ -186,6 +182,21 @@ class TestBundleIO:
         report = verify(read_bundle(path))
         assert not report.pairwise_nonparallel
         assert report.verdict == "fail"
+
+    def test_non_real_coefficients_are_refused(self, tmp_path, capsys):
+        # Scaling every slope by i preserves every predicate verify checks, so
+        # only the reader can see that these are not real lines.
+        bundle = construct(24)
+        iu = zeta(24, 6)
+        turned = replace(bundle, lines=tuple(NonVerticalLine(line.a * iu, line.b) for line in bundle.lines))
+        assert verify(turned).verdict == "pass"
+        path = tmp_path / "bundle.json"
+        write_bundle(turned, path)
+        with pytest.raises(ParseError, match="line 0 a: coefficient is not real"):
+            read_bundle(path)
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: line 0 a: coefficient is not real\n"
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -453,7 +453,7 @@ def rational_bundle(lines):
     return CounterexampleBundle(
         n=len(lines),
         config=PolygonConfig(max(3, len(lines))),
-        rotation=RationalRotation.identity(),
+        rotation=RationalRotation(1, 0),
         lines=tuple(lines),
         field_order=1,
     )

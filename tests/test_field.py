@@ -111,7 +111,7 @@ class TestMultiplication:
 
     def test_real_combination_square(self):
         # (z + z^6)^2 = z^2 + 2 z^7 + z^12 = 2 + z^2 + z^5; frozen by hand expansion
-        lhs = (zeta(7) + zeta(7, 6)) ** 2
+        lhs = (zeta(7) + zeta(7, 6)) * (zeta(7) + zeta(7, 6))
         assert lhs == CycloElement(7, [2, 0, 1, 0, 0, 1])
 
     def test_ring_identities_spot(self):
@@ -153,15 +153,15 @@ class TestZeroTest:
         total = CycloElement.zero(7)
         for k in range(7):
             total = total + zeta(7, k)
-        assert total.is_zero()
+        assert total == 0
 
     def test_distinct_monomials_nonzero(self):
-        assert not (zeta(7) - zeta(7, 2)).is_zero()
+        assert zeta(7) - zeta(7, 2) != 0
 
     def test_sixth_vs_third_root_relation(self):
         # zeta_3 embeds in Q(zeta_6) as zeta_6^2, and zeta_6 = 1 + zeta_3 there
-        value = zeta(6) - zeta(6) ** 2 - 1
-        assert value.is_zero()
+        value = zeta(6) - zeta(6, 2) - 1
+        assert value == 0
         assert abs(value.approx(53)) < 1e-12
 
 

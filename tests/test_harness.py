@@ -74,9 +74,9 @@ class TestRandGen:
 
 class TestCheckSuites:
     def test_duality_report(self):
-        rep = duality_check(RandomConfig(seed=42, count=300), engineered=50)
-        assert rep.ok and rep.passed == 350
-        assert rep.summary() == "RESULT pass=350 fail=0 skip=0"
+        rep = duality_check(RandomConfig(seed=42, count=300))
+        assert rep.ok and rep.passed == 330
+        assert rep.summary() == "RESULT pass=330 fail=0 skip=0"
 
     def test_duality_reports_are_reproducible(self):
         cfg = RandomConfig(seed=99, count=100)

@@ -100,16 +100,16 @@ class TestClosedForms:
 
 class TestInstantiation:
     def test_square_identity(self):
-        pts = instantiate_polygon(PolygonConfig(4), RationalRotation.identity())
+        pts = instantiate_polygon(PolygonConfig(4), RationalRotation(1, 0))
         assert pts == [Point(1, 0), Point(0, 1), Point(-1, 0), Point(0, -1)]
 
     def test_hexagon_identity_x_coordinates(self):
-        pts = instantiate_polygon(PolygonConfig(6), RationalRotation.identity())
+        pts = instantiate_polygon(PolygonConfig(6), RationalRotation(1, 0))
         half = Fraction(1, 2)
         assert [p.x for p in pts] == [1, half, -half, -1, -half, half]
 
     def test_center_is_origin(self):
-        pts = instantiate_polygon(PolygonConfig(6, True), RationalRotation.identity())
+        pts = instantiate_polygon(PolygonConfig(6, True), RationalRotation(1, 0))
         assert len(pts) == 7
         assert pts[-1].x == 0 and pts[-1].y == 0
 
@@ -160,7 +160,7 @@ class TestRotationChoice:
     def test_identity_rejected_for_plain_polygons(self):
         # vertices i and n-i always share an x-coordinate under the identity
         for n in (4, 5, 6, 7):
-            pts = instantiate_polygon(PolygonConfig(n), RationalRotation.identity())
+            pts = instantiate_polygon(PolygonConfig(n), RationalRotation(1, 0))
             assert len({p.x for p in pts}) < n
 
     def test_heptagon_takes_first_working_parameter(self):

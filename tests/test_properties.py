@@ -18,7 +18,6 @@ from dircover.geometry import (
     dual_line_to_point,
     dual_point_to_line,
     incident,
-    parallel,
 )
 from dircover.oracle import oracle_spectrum
 from dircover.randgen import RandomConfig, make_rng, random_invertible_map
@@ -62,8 +61,8 @@ class TestRingLaws:
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-        assert (a + (-a)).is_zero()
-        assert (a - a).is_zero()
+        assert a + (-a) == 0
+        assert a - a == 0
 
     @settings(max_examples=60, deadline=None)
     @given(cyclo_batch(2))
@@ -121,7 +120,7 @@ class TestRingLaws:
     def test_zero_elements_evaluate_to_zero(self, batch):
         (a,) = batch
         z = a - a
-        assert z.is_zero() and abs(z.approx()) == 0
+        assert z == 0 and abs(z.approx()) == 0
 
 
 def assert_normal(e: CycloElement) -> None:
@@ -133,12 +132,12 @@ def assert_normal(e: CycloElement) -> None:
 
 class TestNormalForm:
     @settings(max_examples=80, deadline=None)
-    @given(cyclo_batch(2), small_rationals, st.integers(0, 30), st.integers(0, 4))
-    def test_every_operation_returns_the_normal_form(self, batch, r, k, e):
+    @given(cyclo_batch(2), small_rationals, st.integers(0, 30))
+    def test_every_operation_returns_the_normal_form(self, batch, r, k):
         a, b = batch
         n = a.order
         made = [a, b, CycloElement.from_rational(n, r), zeta(n, k), a + b, a - b, r - a, a - r]
-        made += [a * b, -a, a.conjugate(), a**e, a - a]
+        made += [a * b, -a, a.conjugate(), a * a, a - a]
         for x in made:
             assert_normal(x)
         assert a - b == a + (-b)
@@ -163,13 +162,6 @@ class TestDualityLemma:
     @given(points)
     def test_round_trip(self, p):
         assert dual_line_to_point(dual_point_to_line(p)) == p
-
-    @settings(max_examples=100, deadline=None)
-    @given(points, points)
-    def test_shared_vertical_iff_parallel_duals(self, p, q):
-        if p == q:
-            return
-        assert (p.x == q.x) == parallel(dual_point_to_line(p), dual_point_to_line(q))
 
 
 class TestConcurrency:

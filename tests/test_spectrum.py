@@ -138,7 +138,7 @@ class TestSpectrum:
     def test_mixed_domains_match_the_cyclotomic_embedding(self):
         # Chords between two Fraction points are canonical Directions, the rest are
         # cyclotomic ones stored as given, so a mixed list must class by parallel_to.
-        hexagon = instantiate_polygon(PolygonConfig(6), RationalRotation.identity())
+        hexagon = instantiate_polygon(PolygonConfig(6), RationalRotation(1, 0))
         rational = [Point(0, 0), Point(2, 0), Point(Fraction(1, 3), Fraction(-5, 7)), Point(0, 3)]
         embedded = [Point(*(CycloElement.from_rational(12, s) for s in (p.x, p.y))) for p in rational]
         mixed, cyclotomic = spectrum(hexagon + rational), spectrum(hexagon + embedded)
