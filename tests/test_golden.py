@@ -44,6 +44,12 @@ CASES = {
         f"check-{suite}": ["check", suite, "--seed", "3", "--trials", "30"]
         for suite in ("duality", "pinchasi", "affine", "oracle")
     },
+    # pinchasi spreads its trials over sizes 3..12: with 7 trials, sizes
+    # 10-12 get no sets; with 13, sizes 3-5 take the remainder
+    "check-pinchasi-t7": ["check", "pinchasi", "--seed", "3", "--trials", "7"],
+    "check-pinchasi-t13-json": ["check", "pinchasi", "--seed", "3", "--trials", "13", "--json"],
+    # two collinear draws at size 3; each later size counts only its own rejections
+    "check-pinchasi-bound2": ["check", "pinchasi", "--seed", "1", "--trials", "50", "--bound", "2"],
 }
 
 
