@@ -3,23 +3,18 @@
 Each suite runs seeded trials, collects pass/fail/skip counts, and renders
 a line-oriented plain-text report ending in a machine-readable summary
 ``RESULT pass=<int> fail=<int> skip=<int>``.  A failure here indicates an
-implementation bug, never new mathematics.
+implementation bug, never new mathematics.  :data:`SUITES` maps each suite's
+name to its function; a suite's keyword defaults are the CLI's defaults.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
-from .geometry import Point, affine_apply, collinear, dual_point_to_line, incident
+from .geometry import Point, affine_apply, dual_point_to_line, incident
 from .oracle import MAX_ORACLE_POINTS, oracle_spectrum
-from .randgen import (
-    RandomConfig,
-    make_rng,
-    random_invertible_map,
-    random_point,
-    random_point_set,
-    random_rational,
-)
+from .randgen import random_invertible_map, random_point, random_point_set, random_rational
 from .spectrum import spectrum
 
 
@@ -48,25 +43,18 @@ class CheckReport:
     def render(self) -> str:
         return "\n".join([f"check {self.name}", *self.lines, self.summary()])
 
-    def merge(self, other: "CheckReport") -> None:
-        self.passed += other.passed
-        self.failed += other.failed
-        self.skipped += other.skipped
-        self.lines.extend(other.lines)
 
-
-def duality_check(cfg: RandomConfig) -> CheckReport:
+def duality_check(seed: int, trials: int = 10000, bound: int = 50) -> CheckReport:
     """incident(p, dual(q)) must equal incident(q, dual(p)) for all pairs.
 
     Random generic pairs are almost never incident, so an extra batch of
     engineered coincidences (the defining equality forced to hold exactly),
     one per ten random pairs, exercises the true branch as well.
     """
-    rng = make_rng(cfg)
-    engineered = max(1, cfg.count // 10)
+    rng = random.Random(seed)
+    engineered = max(1, trials // 10)
     rep = CheckReport("duality")
-    bound = cfg.coordinate_bound
-    for _ in range(cfg.count):
+    for _ in range(trials):
         p = random_point(rng, bound)
         q = random_point(rng, bound)
         if incident(p, dual_point_to_line(q)) == incident(q, dual_point_to_line(p)):
@@ -83,72 +71,81 @@ def duality_check(cfg: RandomConfig) -> CheckReport:
             rep.passed += 1
         else:
             rep.fail(f"engineered incidence not symmetric for p={p} q={q}")
-    rep.note(f"{cfg.count} random pairs + {engineered} engineered incident pairs")
+    rep.note(f"{trials} random pairs + {engineered} engineered incident pairs")
     return rep
 
 
-def _all_collinear(pts: list[Point]) -> bool:
-    return all(collinear(pts[0], pts[1], p) for p in pts[2:])
-
-
-def pinchasi_check(cfg: RandomConfig) -> CheckReport:
+def pinchasi_check(seed: int, trials: int = 1000, bound: int = 50) -> CheckReport:
     """max(I(Q) \\ {n}) >= floor((n+1)/2) for non-collinear n-point sets.
 
-    Collinear draws are skipped (the bound presumes non-collinearity) and the
-    rejection rate is reported; generation continues until ``cfg.count``
-    non-collinear sets have been checked.
+    The trials are spread over the sizes n = 3..12: each size checks
+    trials // 10 sets, the first trials % 10 sizes one more, and size n
+    draws from random.Random(seed + n).  Collinear draws are skipped (the
+    bound presumes non-collinearity) and each size notes how many it skipped.
     """
-    if cfg.size < 3:
-        raise ValueError("the bound needs at least 3 points per set")
-    rng = make_rng(cfg)
     rep = CheckReport("pinchasi")
-    bound = (cfg.size + 1) // 2
-    attempts = 0
-    while rep.passed + rep.failed < cfg.count:
-        attempts += 1
-        if attempts > 200 * cfg.count + 1000:
-            raise RuntimeError("collinear rejection rate implausibly high")
-        pts = random_point_set(rng, cfg.size, cfg.coordinate_bound)
-        if _all_collinear(pts):
-            rep.skipped += 1
+    base, extra = divmod(trials, 10)
+    for n in range(3, 13):
+        quota = base + (n - 3 < extra)
+        if quota == 0:
             continue
-        counts = spectrum(pts).counts
-        achieved = max(counts - {cfg.size})
-        if achieved >= bound:
-            rep.passed += 1
-        else:
-            rep.fail(f"max(I(Q) minus n) = {achieved} < {bound} for {pts}")
-    rep.note(f"size={cfg.size} bound={bound} collinear_rejected={rep.skipped}")
+        rng = random.Random(seed + n)
+        least = (n + 1) // 2
+        checked = rejected = 0
+        while checked < quota:
+            if checked + rejected >= 200 * quota + 1000:
+                raise RuntimeError("collinear rejection rate implausibly high")
+            pts = random_point_set(rng, n, bound)
+            counts = spectrum(pts).counts
+            # three or more points are collinear iff one line covers them all: 1 in I(Q)
+            if 1 in counts:
+                rejected += 1
+                continue
+            checked += 1
+            achieved = max(counts - {n})
+            if achieved >= least:
+                rep.passed += 1
+            else:
+                rep.fail(f"max(I(Q) minus n) = {achieved} < {least} for {pts}")
+        rep.skipped += rejected
+        rep.note(f"size={n} bound={least} collinear_rejected={rejected}")
     return rep
 
 
-def affine_check(cfg: RandomConfig) -> CheckReport:
+def affine_check(seed: int, trials: int = 100, size: int = 6, bound: int = 50) -> CheckReport:
     """Spectra are invariant under random invertible affine maps."""
-    rng = make_rng(cfg)
+    rng = random.Random(seed)
     rep = CheckReport("affine")
-    for _ in range(cfg.count):
-        pts = random_point_set(rng, cfg.size, cfg.coordinate_bound)
-        amap = random_invertible_map(rng, cfg.coordinate_bound)
+    for _ in range(trials):
+        pts = random_point_set(rng, size, bound)
+        amap = random_invertible_map(rng, bound)
         image = affine_apply(amap, pts)
         if spectrum(pts).counts == spectrum(image).counts:
             rep.passed += 1
         else:
             rep.fail(f"spectrum changed under {amap} for {pts}")
-    rep.note(f"{cfg.count} (set, map) pairs of size {cfg.size}")
+    rep.note(f"{trials} (set, map) pairs of size {size}")
     return rep
 
 
-def oracle_check(cfg: RandomConfig) -> CheckReport:
+def oracle_check(seed: int, trials: int = 200, size: int = 6, bound: int = 50) -> CheckReport:
     """The engine agrees with the independent brute-force oracle on small sets."""
-    rng = make_rng(cfg)
+    rng = random.Random(seed)
     rep = CheckReport("oracle")
-    cap = min(cfg.size, MAX_ORACLE_POINTS - 2)
-    for _ in range(cfg.count):
-        size = rng.randint(2, max(2, cap))
-        pts = random_point_set(rng, size, cfg.coordinate_bound)
+    cap = min(size, MAX_ORACLE_POINTS - 2)
+    for _ in range(trials):
+        pts = random_point_set(rng, rng.randint(2, max(2, cap)), bound)
         if spectrum(pts).counts == oracle_spectrum(pts):
             rep.passed += 1
         else:
             rep.fail(f"engine vs oracle mismatch for {pts}")
-    rep.note(f"{cfg.count} sets of 2..{max(2, cap)} points")
+    rep.note(f"{trials} sets of 2..{max(2, cap)} points")
     return rep
+
+
+SUITES = {
+    "duality": duality_check,
+    "pinchasi": pinchasi_check,
+    "affine": affine_check,
+    "oracle": oracle_check,
+}

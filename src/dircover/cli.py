@@ -14,8 +14,6 @@ import sys
 
 from .errors import DegenerateInputError, DirCoverError, ParseError
 
-_CHECK_DEFAULT_TRIALS = {"duality": 10000, "pinchasi": 1000, "affine": 100, "oracle": 200}
-
 
 def _positive_int(text: str) -> int:
     if not text.isdigit() or int(text) < 1:
@@ -225,36 +223,13 @@ def cmd_verify(args) -> int:
     return 0 if rep.passed else 1
 
 
-def _spread(total: int, buckets: int) -> list[int]:
-    base, extra = divmod(total, buckets)
-    return [base + (1 if i < extra else 0) for i in range(buckets)]
-
-
 def cmd_check(args) -> int:
-    from dataclasses import replace
-
-    from .checks import CheckReport, affine_check, duality_check, oracle_check, pinchasi_check
-    from .randgen import RandomConfig
+    from .checks import SUITES
 
     if args.size is not None and args.suite in ("duality", "pinchasi"):
         raise ValueError(f"check {args.suite} does not read --size")
-    trials = args.trials if args.trials is not None else _CHECK_DEFAULT_TRIALS[args.suite]
-    cfg = RandomConfig(
-        seed=args.seed, count=trials, size=args.size or RandomConfig.size, coordinate_bound=args.bound
-    )
-    if args.suite == "duality":
-        rep = duality_check(cfg)
-    elif args.suite == "pinchasi":
-        rep = CheckReport("pinchasi")
-        sizes = list(range(3, 13))
-        for size, quota in zip(sizes, _spread(trials, len(sizes))):
-            if quota == 0:
-                continue
-            rep.merge(pinchasi_check(replace(cfg, seed=args.seed + size, count=quota, size=size)))
-    elif args.suite == "affine":
-        rep = affine_check(cfg)
-    else:
-        rep = oracle_check(cfg)
+    given = {k: v for k, v in vars(args).items() if k in ("trials", "size", "bound") and v is not None}
+    rep = SUITES[args.suite](args.seed, **given)
     if args.json:
         print(
             json.dumps(
@@ -313,9 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", parents=[json_out], help="randomized property suites")
     p.add_argument("suite", choices=["duality", "pinchasi", "affine", "oracle"])
     p.add_argument("--seed", type=int, default=42, help="RNG seed")
-    p.add_argument("--trials", type=_positive_int, default=None, help="trial count (default per suite)")
+    p.add_argument("--trials", type=_positive_int, help="trial count (default per suite)")
     p.add_argument("--size", type=_positive_int, help="points per set (affine, oracle; default 6)")
-    p.add_argument("--bound", type=_positive_int, default=50, help="coordinate magnitude bound")
+    p.add_argument("--bound", type=_positive_int, help="coordinate magnitude bound")
     p.set_defaults(func=cmd_check)
 
     return parser

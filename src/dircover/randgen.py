@@ -3,33 +3,20 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import AffineMap, Point
 
 
-@dataclass(frozen=True)
-class RandomConfig:
-    seed: int
-    count: int = 100
-    size: int = 6
-    coordinate_bound: int = 50
-
-
-def make_rng(cfg: RandomConfig) -> random.Random:
-    return random.Random(cfg.seed)
-
-
-def random_rational(rng: random.Random, bound: int = 50) -> Fraction:
+def random_rational(rng: random.Random, bound: int) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
-def random_point(rng: random.Random, bound: int = 50) -> Point:
+def random_point(rng: random.Random, bound: int) -> Point:
     return Point(random_rational(rng, bound), random_rational(rng, bound))
 
 
-def random_point_set(rng: random.Random, size: int, bound: int = 50) -> list[Point]:
+def random_point_set(rng: random.Random, size: int, bound: int) -> list[Point]:
     """``size`` pairwise distinct random points; duplicates are redrawn."""
     pts: list[Point] = []
     seen: set[Point] = set()
@@ -46,7 +33,7 @@ def random_point_set(rng: random.Random, size: int, bound: int = 50) -> list[Poi
     return pts
 
 
-def random_invertible_map(rng: random.Random, bound: int = 50) -> AffineMap:
+def random_invertible_map(rng: random.Random, bound: int) -> AffineMap:
     """Random affine map with exactly nonzero determinant (singular draws redrawn)."""
     while True:
         m00, m01, m10, m11 = (random_rational(rng, bound) for _ in range(4))

@@ -104,12 +104,11 @@ def pair_directions(points: Sequence[Point]) -> list[tuple[Direction, int]]:
     Within a class, the points on one cover line are pairwise joined by the
     class's chords, so every point but the first on its line is the second
     end j of a chord (i, j) of the class, and the count is n minus the
-    number of such second ends.
+    number of such second ends.  Fewer than two points have no chords, so no
+    classes.
     """
     pts = list(points)
     n = len(pts)
-    if n < 2:
-        raise DegenerateInputError("need at least 2 points for pair directions")
     slope = None if all(isinstance(p.x, Fraction) for p in pts) else _slope_key(pts)
     triples = [_homogeneous(p) for p in pts] if slope is None else []
     reps: list[Direction] = []
@@ -184,7 +183,7 @@ def spectrum(points: Sequence[Point]) -> SpectrumReport:
     ensure_distinct_points(pts)
     n = len(pts)
     witnesses: dict[int, LinePartition] = {}
-    classes = pair_directions(pts) if n >= 2 else []
+    classes = pair_directions(pts)
     for d, c in classes:
         if c not in witnesses:
             witnesses[c] = lines_in_direction(pts, d)
@@ -197,8 +196,6 @@ def spectrum(points: Sequence[Point]) -> SpectrumReport:
 
 def vertical_class_count(points: Sequence[Point]) -> int:
     """Number of distinct x-coordinates: the cover count of the vertical direction."""
-    if not points:
-        raise DegenerateInputError("empty point set")
     return len({p.x for p in points})
 
 
@@ -217,5 +214,5 @@ def stab_spectrum(lines: Sequence[NonVerticalLine]) -> frozenset[int]:
         raise DegenerateInputError("empty line family")
     ensure_distinct_lines(fam)
     duals = [dual_line_to_point(line) for line in fam]
-    classes = pair_directions(duals) if len(duals) >= 2 else []
+    classes = pair_directions(duals)
     return frozenset({len(fam)} | {c for d, c in classes if not d.is_vertical})

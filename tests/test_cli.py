@@ -258,7 +258,7 @@ class TestCheckCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["name"] == "oracle" and doc["fail"] == 0 and doc["pass"] == 25
 
-    def test_pinchasi_spreads_sizes(self, capsys):
+    def test_pinchasi_sweeps_sizes(self, capsys):
         assert main(["check", "pinchasi", "--trials", "30", "--seed", "5"]) == 0
         out = capsys.readouterr().out
         assert "RESULT pass=30 fail=0" in out

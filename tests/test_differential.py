@@ -239,7 +239,7 @@ def test_one_direction_built_per_rational_class(which, monkeypatch):
         pts = [Point(x, y) for x in range(12) for y in range(12)]
         random.Random(12).shuffle(pts)
     else:
-        pts = random_point_set(random.Random(70), 70)
+        pts = random_point_set(random.Random(70), 70, 50)
     built = count_directions_built(monkeypatch)
     classes = pair_directions(pts)
     assert 0 < built[0] <= len(classes) < len(pts) * (len(pts) - 1) // 2

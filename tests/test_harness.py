@@ -1,20 +1,22 @@
 """Oracle, random generation, and check-suite tests."""
 
+import ast
+import inspect
+import random
+from pathlib import Path
+
 import pytest
 
-from dircover.checks import affine_check, duality_check, oracle_check, pinchasi_check
+from dircover.checks import SUITES, affine_check, duality_check, oracle_check, pinchasi_check
+from dircover.cli import build_parser
 from dircover.errors import DegenerateInputError
 from dircover.field import zeta
-from dircover.geometry import Point
+from dircover.geometry import Point, collinear
 from dircover.oracle import oracle_spectrum
-from dircover.randgen import (
-    RandomConfig,
-    make_rng,
-    random_invertible_map,
-    random_point_set,
-    random_rational,
-)
+from dircover.randgen import random_invertible_map, random_point_set, random_rational
 from dircover.spectrum import spectrum
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 SQUARE = [Point(0, 0), Point(1, 0), Point(0, 1), Point(1, 1)]
 
@@ -27,8 +29,7 @@ class TestOracle:
         assert oracle_spectrum([Point(0, 0), Point(1, 1), Point(2, 2)]) == {1, 3}
 
     def test_matches_engine_on_seeded_set(self):
-        rng = make_rng(RandomConfig(seed=7))
-        pts = random_point_set(rng, 6)
+        pts = random_point_set(random.Random(7), 6, 50)
         assert oracle_spectrum(pts) == spectrum(pts).counts
 
     def test_size_cap(self):
@@ -49,23 +50,22 @@ class TestOracle:
 
 class TestRandGen:
     def test_deterministic_generation(self):
-        cfg = RandomConfig(seed=123, size=5)
-        a = random_point_set(make_rng(cfg), cfg.size, cfg.coordinate_bound)
-        b = random_point_set(make_rng(cfg), cfg.size, cfg.coordinate_bound)
+        a = random_point_set(random.Random(123), 5, 50)
+        b = random_point_set(random.Random(123), 5, 50)
         assert a == b
 
     def test_points_are_distinct(self):
-        pts = random_point_set(make_rng(RandomConfig(seed=5)), 30, 5)
+        pts = random_point_set(random.Random(5), 30, 5)
         assert len(set(pts)) == 30
 
     def test_rational_bounds(self):
-        rng = make_rng(RandomConfig(seed=11))
+        rng = random.Random(11)
         for _ in range(200):
             q = random_rational(rng, 10)
             assert abs(q.numerator) <= 10 * q.denominator <= 100
 
     def test_random_map_is_invertible(self):
-        rng = make_rng(RandomConfig(seed=3))
+        rng = random.Random(3)
         for _ in range(20):
             amap = random_invertible_map(rng, 8)
             (m00, m01), (m10, m11) = amap.m
@@ -74,34 +74,65 @@ class TestRandGen:
 
 class TestCheckSuites:
     def test_duality_report(self):
-        rep = duality_check(RandomConfig(seed=42, count=300))
+        rep = duality_check(42, trials=300)
         assert rep.ok and rep.passed == 330
         assert rep.summary() == "RESULT pass=330 fail=0 skip=0"
 
     def test_duality_reports_are_reproducible(self):
-        cfg = RandomConfig(seed=99, count=100)
-        assert duality_check(cfg).render() == duality_check(cfg).render()
+        assert duality_check(99, trials=100).render() == duality_check(99, trials=100).render()
 
     def test_pinchasi_small_run(self):
-        rep = pinchasi_check(RandomConfig(seed=4, count=40, size=4))
+        rep = pinchasi_check(4, trials=40)
         assert rep.ok and rep.passed == 40
         assert "collinear_rejected" in rep.render()
 
-    def test_pinchasi_needs_three_points(self):
-        with pytest.raises(ValueError):
-            pinchasi_check(RandomConfig(seed=1, size=2))
+    def test_collinear_iff_one_line_covers(self):
+        # pinchasi_check skips a draw as collinear when 1 is in its spectrum
+        rng = random.Random(5)
+        seen = set()
+        for bound in (1, 2, 3):
+            for size in range(3, 13 if bound > 1 else 10):  # bound 1 has only 9 points
+                for _ in range(20):
+                    pts = random_point_set(rng, size, bound)
+                    flat = all(collinear(pts[0], pts[1], p) for p in pts[2:])
+                    assert (1 in spectrum(pts).counts) == flat, pts
+                    seen.add(flat)
+        assert seen == {True, False}
 
     def test_pinchasi_known_values(self):
         assert max(spectrum(SQUARE).counts - {4}) == 3 >= (4 + 1) // 2
 
     def test_affine_small_run(self):
-        rep = affine_check(RandomConfig(seed=8, count=20, size=5))
+        rep = affine_check(8, trials=20, size=5)
         assert rep.ok and rep.passed == 20
 
     def test_oracle_small_run(self):
-        rep = oracle_check(RandomConfig(seed=2, count=30, size=7))
+        rep = oracle_check(2, trials=30, size=7)
         assert rep.ok and rep.passed == 30
 
     def test_render_ends_with_summary(self):
-        rep = affine_check(RandomConfig(seed=8, count=3, size=4))
+        rep = affine_check(8, trials=3, size=4)
         assert rep.render().splitlines()[-1].startswith("RESULT pass=")
+
+
+class TestChecksWorkload:
+    """The benchmark's ``checks`` workload expects each suite's pass count at
+    its default trials; this reads ``CHECK_PASSES`` without importing bench/."""
+
+    @staticmethod
+    def check_passes() -> dict:
+        tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["CHECK_PASSES"]:
+                return ast.literal_eval(node.value)
+        raise AssertionError(f"no CHECK_PASSES in {WORKLOADS}")
+
+    def test_suite_names_agree(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command").choices["check"]
+        choices = next(a for a in sub._actions if a.dest == "suite").choices
+        assert set(self.check_passes()) == set(SUITES) == set(choices)
+
+    def test_default_trials_give_the_expected_passes(self):
+        for name, passes in self.check_passes().items():
+            trials = inspect.signature(SUITES[name]).parameters["trials"].default
+            assert passes == (trials + trials // 10 if name == "duality" else trials), name
