@@ -78,6 +78,8 @@ def family_config(n: int, variant: str = "plain") -> PolygonConfig:
     """The polygon configuration dual to the n-line family of ``variant``; no field work."""
     if n < 7:
         raise ValueError(f"construction needs n >= 7, got {n}")
+    if n > 300:  # on a 2-core host n = 300 builds and certifies in 17 s, n = 301 (in Q(zeta_1204)) in 114 s
+        raise ValueError(f"construction supports n <= 300, got {n}")
     if variant == "plain":
         return PolygonConfig(n)
     if variant == "center":
@@ -167,20 +169,21 @@ class FloatCrosscheck:
         return not self.inconclusive
 
 
-def float_crosscheck(bundle: CounterexampleBundle, epsilon: float = 1e-6) -> FloatCrosscheck:
+_EPSILON = 1e-6  # float_crosscheck's cluster tolerance
+
+
+def float_crosscheck(bundle: CounterexampleBundle) -> FloatCrosscheck:
     """Approximate stab spectrum from floating intersections, for cross-checks.
 
     For each pairwise intersection abscissa A it clusters the n ordinate
-    values { -(a_i*A + b_i) } at tolerance epsilon and records the cluster
-    count; any two values with a gap in [epsilon, 10*epsilon) make that
-    abscissa inconclusive (reported, not counted, never an error).  The
+    values { -(a_i*A + b_i) } at tolerance epsilon = 1e-6 and records the
+    cluster count; any two values with a gap in [epsilon, 10*epsilon) make
+    that abscissa inconclusive (reported, not counted, never an error).  The
     generic count n is always included.  The values are sorted, so the
     nearest value at least epsilon above each one is found by one forward
     pass (:func:`_has_ambiguous_gap`).
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    coeffs = [(float(approx_real(line.a, 80)), float(approx_real(line.b, 80))) for line in bundle.lines]
+    coeffs = [(float(approx_real(line.a)), float(approx_real(line.b))) for line in bundle.lines]
     counts = {len(coeffs)}
     inconclusive: list[float] = []
     for i in range(len(coeffs)):
@@ -191,10 +194,10 @@ def float_crosscheck(bundle: CounterexampleBundle, epsilon: float = 1e-6) -> Flo
                 continue
             abscissa = (bi - bj) / (aj - ai)
             ys = sorted(-(a * abscissa + b) for a, b in coeffs)
-            if _has_ambiguous_gap(ys, epsilon):
+            if _has_ambiguous_gap(ys, _EPSILON):
                 inconclusive.append(abscissa)
                 continue
-            clusters = 1 + sum(1 for u in range(1, len(ys)) if ys[u] - ys[u - 1] >= epsilon)
+            clusters = 1 + sum(1 for u in range(1, len(ys)) if ys[u] - ys[u - 1] >= _EPSILON)
             counts.add(clusters)
     return FloatCrosscheck(frozenset(counts), tuple(inconclusive))
 

@@ -248,29 +248,6 @@ class CycloElement:
     def is_rational(self) -> bool:
         return not any(self._num[1:])
 
-    def approx(self, precision_bits: int = 53) -> mpmath.mpc:
-        """Evaluate the coefficient polynomial at zeta_n = e^(2*pi*i/n).
-
-        Horner's rule runs at p = ``precision_bits`` + 10 bits.  Take each
-        mpmath operation, its cos/sin of pi * (2/n) included, to be within
-        one unit in the last place (relative error u = 2**(1 - p)).  With M
-        the sum of the absolute values of the coefficients, every partial
-        sum stays within M, the computed root is within 4u of zeta_n, and
-        each Horner step adds at most 8uM, so the absolute error is at most
-        (8 * phi(n) + 1) * u * M.  Predicates never decide on this value; it
-        only displays and cross-checks.
-        """
-        import mpmath  # deferred: only decimal output needs it
-
-        if precision_bits < 53:
-            raise ValueError("precision_bits must be >= 53")
-        with mpmath.workprec(precision_bits + 10):
-            root = mpmath.expjpi(mpmath.mpf(2) / self.order)
-            acc = mpmath.mpc(0)
-            for c in reversed(self._num):
-                acc = acc * root + c
-            return acc / self._den
-
     def __eq__(self, other):
         if isinstance(other, CycloElement):
             if other.order == self.order:
@@ -374,22 +351,33 @@ def residue(value: Union[Fraction, CycloElement], p: int, w: int) -> Optional[in
     return _horner(nums, w, p) * pow(den, -1, p) % p
 
 
-def approx_real(value: Union[Fraction, CycloElement], precision_bits: int) -> mpmath.mpf:
-    """The real part of a scalar as an mpmath number; display and cross-checks only.
+def approx_real(value: Union[Fraction, CycloElement]) -> mpmath.mpf:
+    """The real part of a scalar as an mpmath number, at 128 bits; display and cross-checks only.
 
-    A Fraction is divided out, and a CycloElement evaluated by
-    :meth:`CycloElement.approx`, at ``precision_bits`` plus 10 guard bits.
+    Work runs at p = 138 bits, 10 of them guard bits.  A Fraction is divided
+    out.  A CycloElement's coefficient polynomial is evaluated at
+    zeta_n = e^(2*pi*i/n) by Horner's rule.  Take each mpmath operation, its
+    cos/sin of pi * (2/n) included, to be within one unit in the last place
+    (relative error u = 2**(1 - p)).  With M the sum of the absolute values
+    of the coefficients, every partial sum stays within M, the computed root
+    is within 4u of zeta_n, and each Horner step adds at most 8uM, so the
+    absolute error is at most (8 * phi(n) + 1) * u * M.  Predicates never
+    decide on this value.
     """
     import mpmath  # deferred: only decimal output needs it
 
-    if isinstance(value, Fraction):
-        with mpmath.workprec(precision_bits + 10):
+    with mpmath.workprec(138):
+        if isinstance(value, Fraction):
             return mpmath.mpf(value.numerator) / value.denominator
-    return value.approx(precision_bits).real
+        root = mpmath.expjpi(mpmath.mpf(2) / value.order)
+        acc = mpmath.mpc(0)
+        for c in reversed(value._num):
+            acc = acc * root + c
+        return acc.real / value._den
 
 
 def approx_str(value: Union[Fraction, CycloElement], digits: int) -> str:
-    """``digits`` significant decimals of :func:`approx_real` at 128 bits; display only."""
+    """``digits`` significant decimals of :func:`approx_real`; display only."""
     import mpmath  # deferred: only decimal output needs it
 
-    return mpmath.nstr(approx_real(value, 128), digits)
+    return mpmath.nstr(approx_real(value), digits)

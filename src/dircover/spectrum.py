@@ -17,6 +17,7 @@ is checked once, in :func:`spectrum` and :func:`stab_spectrum`.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -93,13 +94,15 @@ def _homogeneous(p: Point) -> tuple[int, int, int]:
 def pair_directions(points: Sequence[Point]) -> list[tuple[Direction, int]]:
     """Each parallelism class of chord directions, with its cover count.
 
-    One scan over the pairs (i, j), i < j, in index order represents each class
-    by its first chord.  A rational chord is keyed by its canonical direction
-    (Xj·Wi − Xi·Wj, Yj·Wi − Yi·Wj) in lowest terms (:func:`_homogeneous`); a
-    class's Direction is built once, from its key.  Cyclotomic chords are
-    bucketed by slope mod a prime (:func:`_slope_key`): parallel chords always
-    share a bucket, so the exact test (:meth:`Direction.parallel_to`) runs only
-    against the classes in the chord's bucket, usually one.
+    The domain is chosen once per call, and one scan over the pairs (i, j),
+    i < j, in index order represents each class by its first chord.  For
+    rational points a chord is keyed by its canonical direction
+    (Xj·Wi − Xi·Wj, Yj·Wi − Yi·Wj) in lowest terms (:func:`_homogeneous`); one
+    dict maps each key to its class's second ends, and a class's Direction is
+    built once, from its key.  Otherwise chords are bucketed by slope mod a
+    prime (:func:`_slope_key`): parallel chords always share a bucket, so the
+    exact test (:meth:`Direction.parallel_to`) runs only against the classes
+    in the chord's bucket, usually one.
 
     Within a class, the points on one cover line are pairwise joined by the
     class's chords, so every point but the first on its line is the second
@@ -109,26 +112,26 @@ def pair_directions(points: Sequence[Point]) -> list[tuple[Direction, int]]:
     """
     pts = list(points)
     n = len(pts)
-    slope = None if all(isinstance(p.x, Fraction) for p in pts) else _slope_key(pts)
-    triples = [_homogeneous(p) for p in pts] if slope is None else []
+    if all(isinstance(p.x, Fraction) for p in pts):
+        triples = [_homogeneous(p) for p in pts]
+        classes: defaultdict[tuple[int, int], set[int]] = defaultdict(set)
+        for i, (xi, yi, wi) in enumerate(triples):
+            for j in range(i + 1, n):
+                xj, yj, wj = triples[j]
+                classes[_canonical(xj * wi - xi * wj, yj * wi - yi * wj)].add(j)
+        return [(Direction._of_canonical(*d), n - len(js)) for d, js in classes.items()]
+    slope = _slope_key(pts)
     reps: list[Direction] = []
     seconds: list[set[int]] = []
-    index: dict[tuple[int, int], int] = {}
     buckets: dict[Optional[int], list[int]] = {}
     for i in range(n):
         for j in range(i + 1, n):
-            if slope is None:
-                (xi, yi, wi), (xj, yj, wj) = triples[i], triples[j]
-                d = _canonical(xj * wi - xi * wj, yj * wi - yi * wj)
-                k = index.setdefault(d, len(reps))
-            else:
-                d = Direction.between(pts[i], pts[j])
-                bucket = buckets.setdefault(slope(i, j), [])
-                k = next((m for m in bucket if d.parallel_to(reps[m])), len(reps))
-                if k == len(reps):
-                    bucket.append(k)
+            d = Direction.between(pts[i], pts[j])
+            bucket = buckets.setdefault(slope(i, j), [])
+            k = next((m for m in bucket if d.parallel_to(reps[m])), len(reps))
             if k == len(reps):
-                reps.append(Direction._of_canonical(*d) if slope is None else d)
+                bucket.append(k)
+                reps.append(d)
                 seconds.append(set())
             seconds[k].add(j)
     return [(d, n - len(js)) for d, js in zip(reps, seconds)]

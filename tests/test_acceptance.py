@@ -158,7 +158,7 @@ def test_09_float_crosscheck(bundles):
     with criterion(9, "float cross-check"):
         built, _ = bundles
         for n, bundle in built.items():
-            result = float_crosscheck(bundle, epsilon=1e-6)
+            result = float_crosscheck(bundle)
             assert result.conclusive, n
             assert result.counts == bundle.certificate.stab_counts, n
 

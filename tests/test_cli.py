@@ -177,6 +177,10 @@ class TestPolygonCommand:
     def test_too_small(self, capsys):
         assert main(["polygon", "--n", "2"]) == 2
 
+    def test_too_large(self, capsys):
+        assert main(["polygon", "--n", "1001"]) == 2
+        assert capsys.readouterr().err == "error: polygon supports n <= 1000, got 1001\n"
+
 
 class TestCounterexampleAndVerify:
     def test_build_verify_cycle(self, tmp_path, capsys):
@@ -235,13 +239,22 @@ class TestCounterexampleAndVerify:
         assert old.read_text() == "kept\n" and not new.exists()
 
 
-@pytest.mark.parametrize("command", ["counterexample", "polygon"])
-def test_huge_n_is_refused_in_bounded_time(command):
-    # Past sys.maxsize the field order overflows list sizes, and range(n) never ends.
+@pytest.mark.parametrize(
+    "command, n",
+    [
+        pytest.param("counterexample", 10**20, id="counterexample"),
+        pytest.param("polygon", 10**20, id="polygon"),
+        pytest.param("counterexample", 1000003, id="counterexample-1000003"),
+        pytest.param("polygon", 10**12, id="polygon-10**12"),
+    ],
+)
+def test_huge_n_is_refused_in_bounded_time(command, n):
+    # Each command refuses n past the size it finishes in minutes on.  Unbounded, counterexample
+    # --n 1000003 starts from a list of 4,000,013 integers and polygon --n 10**12 walks range(n).
     import dircover
 
     env = {**os.environ, "PYTHONPATH": str(Path(dircover.__file__).parents[1])}
-    argv = [sys.executable, "-m", "dircover.cli", command, "--n", str(10**20)]
+    argv = [sys.executable, "-m", "dircover.cli", command, "--n", str(n)]
     done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=5)
     assert done.returncode == 2
     assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr

@@ -9,6 +9,7 @@ import pytest
 from dircover.counterexample import (
     CounterexampleBundle,
     construct,
+    family_config,
     float_crosscheck,
     read_bundle,
     verify,
@@ -87,6 +88,12 @@ class TestConstruct:
         with pytest.raises(ValueError):
             construct(7, variant="bogus")
 
+    def test_size_bound_admits_300(self):
+        assert family_config(300) == PolygonConfig(300)
+        assert family_config(299, "center") == PolygonConfig(298, with_center=True)
+        with pytest.raises(ValueError, match="n <= 300"):
+            family_config(301)
+
 
 class TestVerify:
     def test_concurrent_family_fails_with_witness(self):
@@ -131,12 +138,12 @@ class TestNegativeControl:
 
 class TestFloatCrosscheck:
     def test_heptagon(self):
-        result = float_crosscheck(construct(7), epsilon=1e-6)
+        result = float_crosscheck(construct(7))
         assert result.counts == {4, 7}
         assert result.conclusive
 
     def test_twelve(self):
-        result = float_crosscheck(construct(12), epsilon=1e-6)
+        result = float_crosscheck(construct(12))
         assert result.counts == {6, 7, 12}
         assert result.conclusive
 
@@ -144,16 +151,12 @@ class TestFloatCrosscheck:
         bundle = synthetic_bundle([NonVerticalLine(1, 2)])
         assert float_crosscheck(bundle).counts == {1}
 
-    def test_epsilon_validation(self):
-        with pytest.raises(ValueError):
-            float_crosscheck(construct(7), epsilon=0)
-
     def test_ambiguous_gap_is_inconclusive(self):
         # at the meet of the first two lines a third line passes 5e-6 away:
         # inside [eps, 10*eps) for eps = 1e-6, so the abscissa must be flagged
         tiny = Fraction(1, 200000)
         lines = [NonVerticalLine(0, 0), NonVerticalLine(1, 0), NonVerticalLine(0, -tiny)]
-        result = float_crosscheck(synthetic_bundle(lines), epsilon=1e-6)
+        result = float_crosscheck(synthetic_bundle(lines))
         assert not result.conclusive
         assert result.counts == {3}
 

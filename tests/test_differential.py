@@ -4,8 +4,8 @@ The spectrum reference below is the earlier engine, kept here only: it
 collects one representative per chord-direction class first, then builds
 the full parallel cover for every class.  The production engine counts each
 class from its chords in the same scan and builds partitions only as
-witnesses, so counts, witness partitions and stab spectra must agree
-exactly.
+witnesses, so every class in order, its count, the witness partitions and
+the stab spectra must agree exactly.
 
 For cyclotomic input the production scan buckets chords by their slope
 modulo a prime and runs the exact parallelism test only within a bucket.
@@ -156,8 +156,11 @@ def polygons():
 
 
 def assert_agrees_with_reference(pts):
-    """Spectrum, witnesses, vertical count and the dual family's stab spectrum."""
+    """Every chord class and its count, spectrum, witnesses, vertical count and the dual stab spectrum."""
     dirs = two_pass_directions(pts)
+    classes = pair_directions(pts)
+    assert [d for d, _ in classes] == dirs
+    assert [c for _, c in classes] == [len(two_pass_partition(pts, d).groups) for d in dirs]
     witnesses, vertical = two_pass_spectrum(pts, dirs)
     rep = spectrum(pts)
     assert rep.counts == frozenset(witnesses)
@@ -389,7 +392,7 @@ def test_gap_scan_agrees_with_double_loop():
         outcomes.add(expected)
     assert outcomes == {True, False}
     bundle = construct(12)
-    coeffs = [(float(approx_real(line.a, 80)), float(approx_real(line.b, 80))) for line in bundle.lines]
+    coeffs = [(float(approx_real(line.a)), float(approx_real(line.b))) for line in bundle.lines]
     for ai, bi in coeffs:
         for aj, bj in coeffs:
             if ai != aj:

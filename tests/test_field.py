@@ -17,6 +17,7 @@ from dircover.field import (
     CycloElement,
     _cyclotomic_terms,
     _reduce_mod_cyclo,
+    approx_real,
     approx_str,
     cyclotomic_poly,
     euler_phi,
@@ -162,33 +163,33 @@ class TestZeroTest:
         # zeta_3 embeds in Q(zeta_6) as zeta_6^2, and zeta_6 = 1 + zeta_3 there
         value = zeta(6) - zeta(6, 2) - 1
         assert value == 0
-        assert abs(value.approx(53)) < 1e-12
+        assert abs(approx_real(value)) < 1e-12
 
 
 class TestApprox:
     def test_imaginary_unit(self):
-        z = complex(zeta(4).approx())
-        assert abs(z - 1j) < 1e-15
+        # zeta_4 = i has real part 0, and i * zeta_8 = zeta_8^3 has real part -sqrt(1/2)
+        assert abs(approx_real(zeta(4))) < 1e-15
+        assert abs(approx_real(zeta(8, 3)) + 0.5**0.5) < 1e-15
 
     def test_cosine_pair(self):
         import math
 
-        z = complex((zeta(7) + zeta(7, 6)).approx())
-        assert abs(z.real - 2 * math.cos(2 * math.pi / 7)) < 1e-12
-        assert abs(z.imag) < 1e-12
+        z = approx_real(zeta(7) + zeta(7, 6))
+        assert abs(z - 2 * math.cos(2 * math.pi / 7)) < 1e-12
+        # its imaginary part is the real part of -i * z; in Q(zeta_28), i = zeta^7 and zeta_7 = zeta^4
+        assert abs(approx_real(-zeta(28, 7) * (zeta(28, 4) + zeta(28, 24)))) < 1e-12
 
     def test_zero(self):
-        assert abs(CycloElement.zero(9).approx()) == 0
-
-    def test_precision_floor(self):
-        with pytest.raises(ValueError):
-            zeta(5).approx(32)
+        assert approx_real(CycloElement.zero(9)) == 0
 
     def test_higher_precision_tightens(self):
+        # 128 bits, far past a double's 53.  Reduced, the pair is -1 - z^2 - z^3 - z^4 - z^5,
+        # so the documented error bound is (8 * 6 + 1) * 2**-137 * 5 < 2**-129.
         with mpmath.workprec(300):
             exact = 2 * mpmath.cos(2 * mpmath.pi / 7)
-            got = (zeta(7) + zeta(7, 6)).approx(256).real
-            assert abs(got - exact) < mpmath.mpf(2) ** -200
+            got = approx_real(zeta(7) + zeta(7, 6))
+            assert abs(got - exact) < mpmath.mpf(2) ** -129
 
     def test_fraction_decimals_follow_the_precision(self):
         third = approx_str(Fraction(1, 3), 39)

@@ -7,7 +7,7 @@ from math import gcd
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dircover.field import CycloElement, euler_phi, zeta
+from dircover.field import CycloElement, approx_real, euler_phi, zeta
 from dircover.geometry import (
     Direction,
     NonVerticalLine,
@@ -90,10 +90,10 @@ class TestRingLaws:
     def test_numeric_embedding_respects_products(self, batch):
         import mpmath
 
-        a, b = batch
+        a, b = (x + x.conjugate() for x in batch)  # real elements, so Re(ab) = Re(a) Re(b)
         with mpmath.workprec(160):
-            lhs = (a * b).approx(113)
-            rhs = a.approx(113) * b.approx(113)
+            lhs = approx_real(a * b)
+            rhs = approx_real(a) * approx_real(b)
             assert abs(lhs - rhs) < 1e-20
 
     @settings(max_examples=60, deadline=None)
@@ -108,20 +108,23 @@ class TestRingLaws:
         a = CycloElement(n, [Fraction(v, den) for v in nums])
         total = sum(abs(c) for c in a.coeffs)
 
-        def bound(bits):  # (8 * phi + 1) * 2**(1 - (bits + 10)) * M, as approx documents
-            b = (8 * len(a.coeffs) + 1) * total / 2 ** (bits + 9)
-            return mpmath.mpf(b.numerator) / b.denominator
+        bound = (8 * len(a.coeffs) + 1) * total / 2**137  # (8 * phi + 1) * 2**(1 - 138) * M, as documented
 
         with mpmath.workprec(400):
-            gap = abs(a.approx(53) - a.approx(300))
-            assert gap <= bound(53) + bound(300)
+            # independent reference: the sum of c_k cos(2 pi k / n), within M * 2**-390 at 400 bits
+            reference = mpmath.fsum(
+                mpmath.mpf(c.numerator) / c.denominator * mpmath.cos(2 * mpmath.pi * k / n)
+                for k, c in enumerate(a.coeffs)
+            )
+            slack = bound + total / 2**390
+            assert abs(approx_real(a) - reference) <= mpmath.mpf(slack.numerator) / slack.denominator
 
     @settings(max_examples=40, deadline=None)
     @given(cyclo_batch(1))
     def test_zero_elements_evaluate_to_zero(self, batch):
         (a,) = batch
         z = a - a
-        assert z == 0 and abs(z.approx()) == 0
+        assert z == 0 and approx_real(z) == 0
 
 
 def assert_normal(e: CycloElement) -> None:
