@@ -57,10 +57,18 @@ def _canonical(dx: int, dy: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Point:
+    """A point (x, y) over one scalar domain.
+
+    Two Fraction coordinates are kept as given, the result :func:`_unify`
+    would give, without checking them again; other pairs are unified.
+    """
+
     x: Scalar
     y: Scalar
 
     def __post_init__(self):
+        if type(self.x) is type(self.y) is Fraction:
+            return
         x, y = _unify(self.x, self.y)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -68,12 +76,18 @@ class Point:
 
 @dataclass(frozen=True)
 class NonVerticalLine:
-    """The line y + a*x + b = 0 (slope -a).  Never vertical, by construction."""
+    """The line y + a*x + b = 0 (slope -a).  Never vertical, by construction.
+
+    Two Fraction coefficients are kept as given, as :class:`Point` keeps its
+    coordinates; other pairs are unified.
+    """
 
     a: Scalar
     b: Scalar
 
     def __post_init__(self):
+        if type(self.a) is type(self.b) is Fraction:
+            return
         a, b = _unify(self.a, self.b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -141,8 +155,16 @@ def incident(p: Point, line: NonVerticalLine) -> bool:
 
     The expression is symmetric in the roles of point and line coefficients,
     which gives incident(p, dual(q)) == incident(q, dual(p)) for all p, q.
+    When all four scalars are Fractions, it is decided on their numerators
+    and denominators as yn·xd·ad·bd + an·xn·yd·bd + bn·yd·xd·ad == 0: the
+    expression times xd·yd·ad·bd, which is exact because every Fraction
+    denominator is positive, so the product is never 0.
     """
-    return p.y + line.a * p.x + line.b == 0
+    x, y, a, b = p.x, p.y, line.a, line.b
+    if type(x) is type(y) is type(a) is type(b) is Fraction:
+        xd, yd, ad, bd = x.denominator, y.denominator, a.denominator, b.denominator
+        return xd * ad * (y.numerator * bd + b.numerator * yd) + a.numerator * x.numerator * yd * bd == 0
+    return y + a * x + b == 0
 
 
 def collinear(p: Point, q: Point, r: Point) -> bool:
@@ -158,6 +180,15 @@ def _ensure_distinct(items: Sequence, what: str) -> None:
 
 
 def ensure_distinct_points(points: Sequence[Point]) -> None:
+    """Raise on two equal points, naming their positions.
+
+    When every point is rational (decided once for the list) a point is keyed
+    by its reduced numerators and denominators, which avoids Fraction's
+    hash; otherwise by the point itself, so that a rational point and the
+    same point with embedded cyclotomic constants still count as equal.
+    """
+    if all(isinstance(p.x, Fraction) for p in points):
+        points = [(p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator) for p in points]
     _ensure_distinct(points, "point")
 
 

@@ -17,18 +17,23 @@ def random_point(rng: random.Random, bound: int) -> Point:
 
 
 def random_point_set(rng: random.Random, size: int, bound: int) -> list[Point]:
-    """``size`` pairwise distinct random points; duplicates are redrawn."""
+    """``size`` pairwise distinct random points; duplicates are redrawn.
+
+    A point is looked up by its reduced numerators and denominators, not by
+    Fraction's hash.
+    """
     pts: list[Point] = []
-    seen: set[Point] = set()
+    seen: set[tuple[int, int, int, int]] = set()
     misses = 0
     while len(pts) < size:
         p = random_point(rng, bound)
-        if p in seen:
+        key = (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator)
+        if key in seen:
             misses += 1
             if misses > 100 * size + 1000:
                 raise ValueError("coordinate bound too small for requested set size")
             continue
-        seen.add(p)
+        seen.add(key)
         pts.append(p)
     return pts
 

@@ -68,14 +68,23 @@ def _slope_key(points: Sequence[Point]) -> Callable[[int, int], Optional[int]]:
     p is the first prime from :func:`field.residue_primes` that divides no
     denominator and keeps the points' residue pairs distinct, so no chord
     maps to (0, 0).  Parallel chords always share a key; others only by a
-    collision mod p.
+    collision mod p.  Equal points collide under every prime, so two points
+    whose residue pairs collide are compared exactly, and equal ones raise
+    at once, as the rational path does.
     """
     orders = {pt.x.order for pt in points if isinstance(pt.x, CycloElement)}
     if len(orders) > 1:
         raise OrderMismatchError(f"points from different fields: orders {sorted(orders)}")
     for p, w in residue_primes(orders.pop()):
         res = [(residue(pt.x, p, w), residue(pt.y, p, w)) for pt in points]
-        if all(None not in r for r in res) and len(set(res)) == len(points):
+        if any(None in r for r in res):
+            continue
+        first: dict[tuple[int, int], int] = {}
+        for i, r in enumerate(res):
+            j = first.setdefault(r, i)
+            if j != i and points[j] == points[i]:
+                raise DegenerateInputError("zero direction")
+        if len(first) == len(points):
             break
 
     def key(i: int, j: int) -> Optional[int]:
@@ -198,7 +207,15 @@ def spectrum(points: Sequence[Point]) -> SpectrumReport:
 
 
 def vertical_class_count(points: Sequence[Point]) -> int:
-    """Number of distinct x-coordinates: the cover count of the vertical direction."""
+    """Number of distinct x-coordinates: the cover count of the vertical direction.
+
+    As in :func:`geometry.ensure_distinct_points`, when every point is rational
+    (decided once for the list) an x is keyed by its reduced numerator and
+    denominator, not by Fraction's hash; otherwise by its value, so a rational
+    x and the same constant in a cyclotomic field count once.
+    """
+    if all(isinstance(p.x, Fraction) for p in points):
+        return len({(p.x.numerator, p.x.denominator) for p in points})
     return len({p.x for p in points})
 
 

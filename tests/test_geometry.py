@@ -199,3 +199,6 @@ class TestDomains:
         with pytest.raises(DegenerateInputError):
             ensure_distinct_lines([NonVerticalLine(1, 2), NonVerticalLine(1, 2)])
         ensure_distinct_points([Point(1, 2), Point(2, 1)])
+        embedded = Point(CycloElement.from_rational(12, 1), CycloElement.from_rational(12, 2))
+        with pytest.raises(DegenerateInputError, match="duplicate point at positions 0 and 1"):
+            ensure_distinct_points([Point(1, 2), embedded])

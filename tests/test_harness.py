@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from dircover import checks
 from dircover.checks import SUITES, affine_check, duality_check, oracle_check, pinchasi_check
 from dircover.cli import build_parser
 from dircover.errors import DegenerateInputError
@@ -14,7 +15,7 @@ from dircover.field import zeta
 from dircover.geometry import Point, collinear
 from dircover.oracle import oracle_spectrum
 from dircover.randgen import random_invertible_map, random_point_set, random_rational
-from dircover.spectrum import spectrum
+from dircover.spectrum import pair_directions, spectrum
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -98,6 +99,23 @@ class TestCheckSuites:
                     assert (1 in spectrum(pts).counts) == flat, pts
                     seen.add(flat)
         assert seen == {True, False}
+
+    def test_pinchasi_counts_are_the_spectrum_counts(self, monkeypatch):
+        # the suite reads I(Q) from pair_directions; every set it draws must give spectrum's counts
+        drawn = 0
+
+        def compared(pts):
+            nonlocal drawn
+            drawn += 1
+            classes = pair_directions(pts)
+            assert {len(pts)} | {c for _, c in classes} == spectrum(pts).counts, pts
+            return classes
+
+        monkeypatch.setattr(checks, "pair_directions", compared)
+        for seed in (3, 42):
+            rep = pinchasi_check(seed)
+            assert rep.passed == 1000 and rep.ok
+        assert drawn >= 2000
 
     def test_pinchasi_known_values(self):
         assert max(spectrum(SQUARE).counts - {4}) == 3 >= (4 + 1) // 2

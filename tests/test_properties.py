@@ -33,6 +33,12 @@ from dircover.spectrum import (
 small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=8)
 coords = st.fractions(min_value=-20, max_value=20, max_denominator=10)
 points = st.builds(Point, coords, coords)
+# zero, small signed values and numerators and denominators far past machine words
+exact = st.one_of(
+    st.just(Fraction(0)),
+    coords,
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
+)
 lattice_points = st.builds(Point, st.integers(-3, 3), st.integers(-3, 3))
 orders = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9, 12])
 
@@ -161,6 +167,18 @@ class TestDualityLemma:
         p = Point(x, -(a * x + b))
         assert incident(p, dual_point_to_line(q))
         assert incident(q, dual_point_to_line(p))
+
+    @settings(max_examples=300, deadline=None)
+    @given(exact, exact, exact, exact)
+    def test_integer_incidence_is_the_fraction_expression(self, x, y, a, b):
+        assert incident(Point(x, y), NonVerticalLine(a, b)) == (y + a * x + b == 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(exact, exact, exact)
+    def test_integer_incidence_on_engineered_pairs(self, x, a, b):
+        y = -(a * x + b)
+        assert incident(Point(x, y), NonVerticalLine(a, b))
+        assert not incident(Point(x, y + Fraction(1, 10**40)), NonVerticalLine(a, b))
 
     @settings(max_examples=100, deadline=None)
     @given(points)

@@ -6,6 +6,8 @@ ordinate counting, rational division allowed on the test side only) and
 then frozen.
 """
 
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
@@ -45,6 +47,22 @@ def brute_force_stab(lines):
     return frozenset(counts)
 
 
+@contextmanager
+def within_seconds(limit: int):
+    """Fail the block with TimeoutError if it runs past ``limit`` seconds (SIGALRM)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {limit} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(limit)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def sheared_square_points():
     shear = AffineMap(((1, Fraction(1, 3)), (0, 1)))
     return affine_apply(shear, SQUARE)
@@ -72,6 +90,11 @@ class TestPairDirections:
     def test_rejects_duplicates(self):
         with pytest.raises(DegenerateInputError):
             pair_directions([Point(0, 0), Point(0, 0)])
+        # equal cyclotomic points share their residues mod every prime
+        cfg = PolygonConfig(12)
+        pts = instantiate_polygon(cfg, choose_rotation(cfg))
+        with within_seconds(5), pytest.raises(DegenerateInputError, match="zero direction"):
+            pair_directions([pts[0], pts[1], pts[2], pts[1]])
 
 
 class TestLinesInDirection:
@@ -190,6 +213,10 @@ class TestVerticalClasses:
 
     def test_collinear_on_vertical(self):
         assert vertical_class_count([Point(0, 0), Point(0, 1), Point(0, 5)]) == 1
+
+    def test_rational_x_equals_embedded_constant(self):
+        one = CycloElement.from_rational(12, 1)
+        assert vertical_class_count([Point(Fraction(1), 0), Point(one, 0), Point(3, 0)]) == 2
 
 
 class TestDualityTransport:
