@@ -1,7 +1,7 @@
 """Command-line front end: ``dircover <subcommand> ...``.
 
 Exit codes: 0 success, 1 failed check/verification, 2 parse, usage or I/O
-error, 3 degenerate input.  Decimals are computed at 128 bits: ``polygon``
+error, 3 degenerate input.  Decimals are correctly rounded: ``polygon``
 prints 39 significant digits, ``counterexample`` 12.  Each command imports
 the dircover modules it calls, so a process loads no code it does not run.
 """
@@ -116,8 +116,8 @@ def cmd_polygon(args) -> int:
         polygon_spectrum_enumerated,
     )
 
-    if args.n > 1000:  # on a 2-core host n = 1000 runs in 12 s, n = 997 (in Q(zeta_3988)) in 49 s
-        raise ValueError(f"polygon supports n <= 1000, got {args.n}")
+    if args.n > 2000:  # on a 2-core host n = 2000 runs in 3.7 s, n = 1999 (in Q(zeta_7996)) in 13 s
+        raise ValueError(f"polygon supports n <= 2000, got {args.n}")
     cfg = PolygonConfig(args.n, args.center)
     enumerated = polygon_spectrum_enumerated(cfg)
     try:

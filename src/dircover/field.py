@@ -24,12 +24,10 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, count
 from math import gcd, isqrt, lcm
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
+from operator import mul
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import OrderMismatchError, ParseError
-
-if TYPE_CHECKING:
-    import mpmath  # imported only inside the functions that need it
 
 RationalLike = Union[int, Fraction]
 
@@ -351,33 +349,120 @@ def residue(value: Union[Fraction, CycloElement], p: int, w: int) -> Optional[in
     return _horner(nums, w, p) * pow(den, -1, p) % p
 
 
-def approx_real(value: Union[Fraction, CycloElement]) -> mpmath.mpf:
-    """The real part of a scalar as an mpmath number, at 128 bits; display and cross-checks only.
+def _atan_inv(x: int, w: int) -> int:
+    """2**w * atan(1/x) for an integer x > 1, by its series; every term is floored (see :func:`_cos_table`)."""
+    total, power, j, x2 = 0, (1 << w) // x, 1, x * x
+    while power:
+        total += power // j if j % 4 == 1 else -(power // j)
+        power //= x2
+        j += 2
+    return total
 
-    Work runs at p = 138 bits, 10 of them guard bits.  A Fraction is divided
-    out.  A CycloElement's coefficient polynomial is evaluated at
-    zeta_n = e^(2*pi*i/n) by Horner's rule.  Take each mpmath operation, its
-    cos/sin of pi * (2/n) included, to be within one unit in the last place
-    (relative error u = 2**(1 - p)).  With M the sum of the absolute values
-    of the coefficients, every partial sum stays within M, the computed root
-    is within 4u of zeta_n, and each Horner step adds at most 8uM, so the
-    absolute error is at most (8 * phi(n) + 1) * u * M.  Predicates never
-    decide on this value.
+
+@lru_cache(maxsize=None)
+def _cos_table(order: int, bits: int) -> tuple[int, ...]:
+    """T_k = 2**bits * cos(2*pi*k/order) rounded to an integer within 1, for k < phi(order).
+
+    Integer fixed point at w = bits + g bits, g = bits.bit_length() + 12, and
+    every division a floor (a floored quotient of a floor is the floor of the
+    exact quotient).  Errors, in units of 2**-w:
+    - pi = 16 atan(1/5) - 4 atan(1/239) (Machin), each series summed until its
+      power floors to 0: every term errs by less than 1 and the tail by less
+      than 1, so with J5 < w/4.6 + 1 and J239 < w/15.8 + 1 terms pi errs by
+      less than 4w + 40;
+    - the angle x = 2*pi*k'/order, k' = min(k, order - k) so that x lies in
+      [0, pi], errs by a < 4w + 41, and y = x*x by at most 7a + 1;
+    - cos x = 1 - y/2 * (1 - y/12 * (1 - ...)) by Horner up to the first J with
+      (2J)! >= 10**J * 2**w: as y < 10, the dropped tail is below 1, the
+      floors add at most 12, and the error of y counts at most twice, since
+      the polynomial's derivative in y is below 2 in size.
+    In all at most 56w + 589 < 2**(g-1), so dropping the g guard bits with
+    rounding leaves an error of at most 1.
     """
-    import mpmath  # deferred: only decimal output needs it
+    g = bits.bit_length() + 12
+    w = bits + g
+    pi = 16 * _atan_inv(5, w) - 4 * _atan_inv(239, w)
+    terms, fact, tens = 0, 1, 1
+    while fact < tens << w:
+        terms += 1
+        fact *= (2 * terms - 1) * 2 * terms
+        tens *= 10
+    one, half = 1 << w, 1 << (g - 1)
+    table = []
+    for k in range(euler_phi(order)):
+        y = (2 * min(k, order - k) * pi // order) ** 2 >> w
+        r = one
+        for j in range(terms, 0, -1):
+            r = one - (y * r >> w) // ((2 * j - 1) * 2 * j)
+        table.append((r + half) >> g)
+    return tuple(table)
 
-    with mpmath.workprec(138):
-        if isinstance(value, Fraction):
-            return mpmath.mpf(value.numerator) / value.denominator
-        root = mpmath.expjpi(mpmath.mpf(2) / value.order)
-        acc = mpmath.mpc(0)
-        for c in reversed(value._num):
-            acc = acc * root + c
-        return acc.real / value._den
+
+def _real_bounds(value: Union[Fraction, CycloElement], bits: int) -> tuple[int, int, int]:
+    """Integers (s, e, d), d > 0, with the real part of a scalar within [s - e, s + e] / d.
+
+    A rational value is exact: e = 0.  Otherwise the real part of
+    sum c_k zeta^k / den is sum c_k cos(2*pi*k/m) / den, so s is one dot
+    product with :func:`_cos_table`, e = sum |c_k| counts its entries' error of
+    at most 1, and d = den * 2**bits.  s / d is then the nearest float to a
+    value within e / d.
+    """
+    if isinstance(value, Fraction):
+        return value.numerator, 0, value.denominator
+    if value.is_rational():
+        return value._num[0], 0, value._den
+    nums = value._num
+    return sum(map(mul, nums, _cos_table(value.order, bits))), sum(map(abs, nums)), value._den << bits
+
+
+def _decimal(num: int, den: int, digits: int) -> str:
+    """num / den (den > 0) to ``digits`` significant digits, rounded half up, as text.
+
+    Trailing zeros are stripped, zero is ``0.0``, and a leading digit at
+    10**e prints in fixed point when min(-(digits // 3), -5) < e < digits,
+    else with ``e+N`` or ``e-N``: the ``nstr`` format of the arbitrary
+    precision library that the tests compare against.
+    """
+    if not num:
+        return "0.0"
+    sign, num = ("-", -num) if num < 0 else ("", num)
+
+    def below(e: int) -> bool:  # num / den < 10**e
+        return num * 10**max(-e, 0) < den * 10**max(e, 0)
+
+    e = (num.bit_length() - den.bit_length()) * 1233 >> 12  # log10(2) ~ 1233/4096, off by a little
+    while below(e):
+        e -= 1
+    while not below(e + 1):
+        e += 1
+    shift = digits - 1 - e
+    top, bottom = num * 10**max(shift, 0), den * 10**max(-shift, 0)
+    mant = str((2 * top + bottom) // (2 * bottom))
+    if len(mant) > digits:  # rounded up to the next power of ten
+        mant, e = mant[:digits], e + 1
+    if min(-(digits // 3), -5) < e < digits:
+        text, exponent = ("0." + "0" * (-e - 1) + mant if e < 0 else f"{mant[:e + 1]}.{mant[e + 1:]}"), ""
+    else:
+        text, exponent = f"{mant[0]}.{mant[1:]}", f"e{e:+d}"
+    text = text.rstrip("0")
+    return sign + (text + "0" if text.endswith(".") else text) + exponent
 
 
 def approx_str(value: Union[Fraction, CycloElement], digits: int) -> str:
-    """``digits`` significant decimals of :func:`approx_real`; display only."""
-    import mpmath  # deferred: only decimal output needs it
+    """The real part of a scalar to ``digits`` significant digits, correctly rounded; display only.
 
-    return mpmath.nstr(approx_real(value), digits)
+    Ziv's test: when both ends of :func:`_real_bounds`'s enclosure render
+    alike, so does every value between them.  Otherwise the precision doubles.
+    Every rounding boundary is rational, and an irrational real part is none,
+    so the loop ends once a miss has replaced the value by its exact real part
+    (a rational one then renders exactly).
+    """
+    bits = 4 * digits + 16
+    while True:
+        s, e, d = _real_bounds(value, bits)
+        text = _decimal(s - e, d, digits)
+        if text == _decimal(s + e, d, digits):
+            return text
+        if isinstance(value, CycloElement):
+            value = (value + value.conjugate()) * Fraction(1, 2)
+        bits *= 2

@@ -178,8 +178,8 @@ class TestPolygonCommand:
         assert main(["polygon", "--n", "2"]) == 2
 
     def test_too_large(self, capsys):
-        assert main(["polygon", "--n", "1001"]) == 2
-        assert capsys.readouterr().err == "error: polygon supports n <= 1000, got 1001\n"
+        assert main(["polygon", "--n", "2001"]) == 2
+        assert capsys.readouterr().err == "error: polygon supports n <= 2000, got 2001\n"
 
 
 class TestCounterexampleAndVerify:
@@ -258,6 +258,20 @@ def test_huge_n_is_refused_in_bounded_time(command, n):
     done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=5)
     assert done.returncode == 2
     assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+
+
+def test_huge_bundle_is_refused_in_bounded_time(tmp_path):
+    # A valid n = 301 bundle verifies in 70 s and larger ones take hours; the header alone decides.
+    import dircover
+
+    path = tmp_path / "b301.json"
+    header = {"n": 301, "field_order": 1204, "config": {"vertices": 301, "with_center": False}}
+    path.write_text(json.dumps(header))
+    env = {**os.environ, "PYTHONPATH": str(Path(dircover.__file__).parents[1])}
+    argv = [sys.executable, "-m", "dircover.cli", "verify", str(path)]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=5)
+    assert done.returncode == 2
+    assert done.stderr == f"error: {path}: verify supports n <= 300, got 301\n"
 
 
 class TestCheckCommand:
@@ -397,8 +411,11 @@ class TestStartUp:
             (["check", "pinchasi", "--trials", "20"], "checks", _CHECK_NEVER),
             (["check", "affine", "--trials", "5"], "checks", _CHECK_NEVER),
             (["check", "oracle", "--trials", "5"], "checks", _CHECK_NEVER),
+            (["counterexample", "--n", "7"], "counterexample", _CERTIFY_NEVER),
+            (["polygon", "--n", "13"], "polygon", _CERTIFY_NEVER | {"counterexample", "spectrum"}),
         ],
-        ids=["spectrum", "stab", "verify", "duality", "pinchasi", "affine", "oracle"],
+        ids=["spectrum", "stab", "verify", "duality", "pinchasi", "affine", "oracle", "counterexample",
+             "polygon"],
     )
     def test_exact_commands_do_not_load_mpmath(self, tmp_path, square_file, bundle, argv, needs, never):
         lines = tmp_path / "fam.lines"
@@ -409,8 +426,9 @@ class TestStartUp:
         assert needs in loaded and not never & set(loaded)
 
     def test_counterexample_loads_only_what_it_calls(self):
-        code, _, *loaded = _fresh_interpreter(_LOADED, "counterexample", "--n", "7")[-1].split()
-        assert code == "0" and "counterexample" in loaded and not _CERTIFY_NEVER & set(loaded)
+        code, mpmath_loaded, *loaded = _fresh_interpreter(_LOADED, "counterexample", "--n", "7")[-1].split()
+        assert (code, mpmath_loaded) == ("0", "False")
+        assert "counterexample" in loaded and not _CERTIFY_NEVER & set(loaded)
 
     def test_importing_the_cli_loads_no_command(self):
         script = "import sys\nimport dircover.cli\nprint(*sorted(m for m in sys.modules if m.startswith('dircover')))"

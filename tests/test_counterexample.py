@@ -310,26 +310,35 @@ class TestBundleIO:
         assert err.startswith(f"error: {path}: integer of 5000 digits exceeds the 4300-digit limit")
         assert "set_int_max_str_digits" not in err and "Traceback" not in err
 
-    def test_crafted_order_is_rejected_before_field_arithmetic(self, tmp_path, capsys):
-        # A header-consistent document for Q(zeta_60060) whose vectors are too
-        # short: about 300 KB, while Phi_60060 alone takes minutes to compute.
+    @staticmethod
+    def assert_rejected_before_field_arithmetic(tmp_path, capsys, n: int, message: str) -> None:
+        """A header-consistent n-line document whose vectors are too short exits 2 and builds no Phi_m."""
         doc = {
-            "n": 15015,
-            "config": {"vertices": 15015, "with_center": False},
+            "n": n,
+            "config": {"vertices": n, "with_center": False},
             "rotation": {"c": "1", "s": "0"},
-            "field_order": 60060,
-            "lines": [{"a": [0], "b": [0]}] * 15015,
+            "field_order": 4 * n,
+            "lines": [{"a": [0], "b": [0]}] * n,
         }
         path = tmp_path / "crafted.json"
         path.write_text(json.dumps(doc))
         before = cyclotomic_poly.cache_info()
-        with pytest.raises(ParseError, match="expected 11520 coefficients"):
+        with pytest.raises(ParseError, match=message):
             read_bundle(path)
         assert main(["verify", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         after = cyclotomic_poly.cache_info()
         assert (after.misses, after.currsize) == (before.misses, before.currsize)
+
+    def test_crafted_order_is_rejected_before_field_arithmetic(self, tmp_path, capsys):
+        # For Q(zeta_60060) the document is about 300 KB, while Phi_60060 alone takes minutes
+        # to compute; the bound on n refuses it first.
+        message = "verify supports n <= 300, got 15015"
+        self.assert_rejected_before_field_arithmetic(tmp_path, capsys, 15015, message)
+
+    def test_short_vectors_are_rejected_before_field_arithmetic(self, tmp_path, capsys):
+        self.assert_rejected_before_field_arithmetic(tmp_path, capsys, 299, "expected 528 coefficients")
 
     @pytest.mark.parametrize(
         "text", ["[" * 100000 + "]" * 100000, '{"n": 1e400}'], ids=["deep", "infinite"]

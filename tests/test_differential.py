@@ -54,7 +54,7 @@ from dircover.counterexample import (
     write_bundle,
 )
 from dircover.errors import DegenerateInputError, OrderMismatchError
-from dircover.field import approx_real, residue, residue_primes
+from dircover.field import _real_bounds, residue, residue_primes
 from dircover.geometry import (
     Direction,
     NonVerticalLine,
@@ -392,7 +392,8 @@ def test_gap_scan_agrees_with_double_loop():
         outcomes.add(expected)
     assert outcomes == {True, False}
     bundle = construct(12)
-    coeffs = [(float(approx_real(line.a)), float(approx_real(line.b))) for line in bundle.lines]
+    real = [s / d for line in bundle.lines for s, _, d in (_real_bounds(line.a, 64), _real_bounds(line.b, 64))]
+    coeffs = list(zip(real[::2], real[1::2]))
     for ai, bi in coeffs:
         for aj, bj in coeffs:
             if ai != aj:

@@ -15,9 +15,10 @@ import sympy
 from dircover.errors import OrderMismatchError, ParseError
 from dircover.field import (
     CycloElement,
+    _cos_table,
     _cyclotomic_terms,
+    _real_bounds,
     _reduce_mod_cyclo,
-    approx_real,
     approx_str,
     cyclotomic_poly,
     euler_phi,
@@ -163,38 +164,113 @@ class TestZeroTest:
         # zeta_3 embeds in Q(zeta_6) as zeta_6^2, and zeta_6 = 1 + zeta_3 there
         value = zeta(6) - zeta(6, 2) - 1
         assert value == 0
-        assert abs(approx_real(value)) < 1e-12
+        assert _real_bounds(value, 64) == (0, 0, 1)
+
+
+def real(value, bits: int = 64) -> float:
+    s, _, d = _real_bounds(value, bits)
+    return s / d
+
+
+def mp_real(value) -> mpmath.mpf:
+    """sum c_k cos(2 pi k / m) at the working precision, independent of the integer table."""
+    if isinstance(value, Fraction):
+        return mpmath.mpf(value.numerator) / value.denominator
+    m = value.order
+    return mpmath.fsum(
+        mpmath.mpf(c.numerator) / c.denominator * mpmath.cos(2 * mpmath.pi * k / m) for k, c in enumerate(value.coeffs)
+    )
+
+
+def mp_str(value, digits: int) -> str:
+    with mpmath.workprec(600):
+        return mpmath.nstr(mp_real(value), digits)
 
 
 class TestApprox:
     def test_imaginary_unit(self):
         # zeta_4 = i has real part 0, and i * zeta_8 = zeta_8^3 has real part -sqrt(1/2)
-        assert abs(approx_real(zeta(4))) < 1e-15
-        assert abs(approx_real(zeta(8, 3)) + 0.5**0.5) < 1e-15
+        assert abs(real(zeta(4))) < 1e-15
+        assert abs(real(zeta(8, 3)) + 0.5**0.5) < 1e-15
 
     def test_cosine_pair(self):
         import math
 
-        z = approx_real(zeta(7) + zeta(7, 6))
+        z = real(zeta(7) + zeta(7, 6))
         assert abs(z - 2 * math.cos(2 * math.pi / 7)) < 1e-12
         # its imaginary part is the real part of -i * z; in Q(zeta_28), i = zeta^7 and zeta_7 = zeta^4
-        assert abs(approx_real(-zeta(28, 7) * (zeta(28, 4) + zeta(28, 24)))) < 1e-12
+        assert abs(real(-zeta(28, 7) * (zeta(28, 4) + zeta(28, 24)))) < 1e-12
 
     def test_zero(self):
-        assert approx_real(CycloElement.zero(9)) == 0
+        assert _real_bounds(CycloElement.zero(9), 64) == (0, 0, 1)
 
     def test_higher_precision_tightens(self):
-        # 128 bits, far past a double's 53.  Reduced, the pair is -1 - z^2 - z^3 - z^4 - z^5,
-        # so the documented error bound is (8 * 6 + 1) * 2**-137 * 5 < 2**-129.
+        # Reduced, the pair is -1 - z^2 - z^3 - z^4 - z^5, so at 138 bits the enclosure has
+        # radius 5 * 2**-138 < 2**-135, and it holds the value.
+        s, e, d = _real_bounds(zeta(7) + zeta(7, 6), 138)
+        assert Fraction(e, d) < Fraction(1, 2**135)
         with mpmath.workprec(300):
             exact = 2 * mpmath.cos(2 * mpmath.pi / 7)
-            got = approx_real(zeta(7) + zeta(7, 6))
-            assert abs(got - exact) < mpmath.mpf(2) ** -129
+            assert mpmath.mpf(s - e) / d <= exact <= mpmath.mpf(s + e) / d
 
     def test_fraction_decimals_follow_the_precision(self):
         third = approx_str(Fraction(1, 3), 39)
         assert third == "0." + "3" * 39
         assert third == approx_str(CycloElement.from_rational(12, Fraction(1, 3)), 39)
+
+
+class TestDecimals:
+    """``approx_str`` against ``mpmath.nstr`` of a 600-bit evaluation, string for string."""
+
+    def test_random_real_elements(self):
+        rng = random.Random(16)
+        for _ in range(60):
+            m = rng.randint(3, 300)
+            phi = euler_phi(m)
+            coeffs = [Fraction(rng.randint(-99, 99), rng.randint(1, 40)) for _ in range(rng.randint(1, phi))]
+            a = CycloElement(m, coeffs)
+            value = a + a.conjugate()
+            for digits in (12, 39):
+                assert approx_str(value, digits) == mp_str(value, digits), (m, digits)
+
+    @pytest.mark.parametrize("q", [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(-2, 3), Fraction(-7)])
+    def test_exact_values(self, q):
+        for digits in (12, 39):
+            assert approx_str(q, digits) == approx_str(CycloElement.from_rational(24, q), digits)
+            assert approx_str(q, digits) == mp_str(q, digits)
+        assert approx_str(Fraction(0), 12) == "0.0" and approx_str(Fraction(1, 2), 39) == "0.5"
+
+    @pytest.mark.parametrize("power", [-6, -5, -4, -3, 10, 11, 12, 13])
+    def test_fixed_point_thresholds(self, power):
+        # each side of 10**power, and a value that rounds up to it at 12 digits
+        scale = Fraction(10) ** power
+        cosine = zeta(7) + zeta(7, 6)  # 1.2469...
+        for value in (scale, cosine * scale, scale * Fraction(999999999999996, 10**15)):
+            for signed in (value, -value):
+                assert approx_str(signed, 12) == mp_str(signed, 12)
+
+    def test_threshold_formats(self):
+        # at 12 digits a leading digit at 10**-5 or 10**12 prints with an exponent, at 10**-4 or 10**11 without
+        expected = {-5: "1.0e-5", -4: "0.0001", 11: "100000000000.0", 12: "1.0e+12"}
+        for power, text in expected.items():
+            assert approx_str(Fraction(10) ** power, 12) == text
+            assert approx_str(-Fraction(10) ** power, 12) == "-" + text
+        assert approx_str(Fraction(999999999999996, 10**15), 12) == "1.0"
+
+    def test_non_real_value_with_rational_real_part(self):
+        # the enclosure of Re(i) = 0 and Re(zeta_6) = 1/2 always straddles a rounding boundary;
+        # the loop settles on the exact real part
+        assert approx_str(zeta(4), 12) == "0.0"
+        assert approx_str(zeta(6), 39) == "0.5"
+
+    @pytest.mark.parametrize("order", [3, 4, 5, 7, 12, 24, 96, 124, 300, 1204])
+    @pytest.mark.parametrize("bits", [64, 172, 344])
+    def test_table_entries_within_one_unit(self, order, bits):
+        table = _cos_table(order, bits)
+        assert len(table) == euler_phi(order)
+        with mpmath.workprec(600):
+            for k, t in enumerate(table):
+                assert abs(t - mpmath.ldexp(mpmath.cos(2 * mpmath.pi * k / order), bits)) <= 1, k
 
 
 class TestDomainDiscipline:

@@ -35,6 +35,8 @@ CASES = {
     "verify-n24-tampered": ["verify", "{tampered}"],
     "polygon-n12-center-json": ["polygon", "--n", "12", "--center", "--json"],
     "polygon-n13": ["polygon", "--n", "13"],
+    # the smallest polygon with a 39-digit value that a 128-bit evaluation rounds wrongly
+    "polygon-n29-center": ["polygon", "--n", "29", "--center"],
     "spectrum": ["spectrum", POINTS],
     "spectrum-json": ["spectrum", "--json", POINTS],
     "stab": ["stab", POINTS],

@@ -7,7 +7,7 @@ from math import gcd
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dircover.field import CycloElement, approx_real, euler_phi, zeta
+from dircover.field import CycloElement, _real_bounds, approx_str, euler_phi, zeta
 from dircover.geometry import (
     Direction,
     NonVerticalLine,
@@ -94,13 +94,14 @@ class TestRingLaws:
     @settings(max_examples=40, deadline=None)
     @given(cyclo_batch(2))
     def test_numeric_embedding_respects_products(self, batch):
-        import mpmath
-
         a, b = (x + x.conjugate() for x in batch)  # real elements, so Re(ab) = Re(a) Re(b)
-        with mpmath.workprec(160):
-            lhs = approx_real(a * b)
-            rhs = approx_real(a) * approx_real(b)
-            assert abs(lhs - rhs) < 1e-20
+        (sab, eab, dab), (sa, ea, da), (sb, eb, db) = (_real_bounds(x, 160) for x in (a * b, a, b))
+        lhs = Fraction(sab, dab)
+        rhs = Fraction(sa, da) * Fraction(sb, db)
+        # the two enclosures meet, and their midpoints agree to the old tolerance
+        ra, rb = Fraction(ea, da), Fraction(eb, db)
+        radius = Fraction(eab, dab) + ra * abs(Fraction(sb, db)) + rb * (abs(Fraction(sa, da)) + ra)
+        assert abs(lhs - rhs) <= radius and abs(lhs - rhs) < Fraction(1, 10**20)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -113,8 +114,8 @@ class TestRingLaws:
 
         a = CycloElement(n, [Fraction(v, den) for v in nums])
         total = sum(abs(c) for c in a.coeffs)
-
-        bound = (8 * len(a.coeffs) + 1) * total / 2**137  # (8 * phi + 1) * 2**(1 - 138) * M, as documented
+        s, e, d = _real_bounds(a, 138)
+        assert a.is_rational() or Fraction(e, d) == total / 2**138  # radius M * 2**-138
 
         with mpmath.workprec(400):
             # independent reference: the sum of c_k cos(2 pi k / n), within M * 2**-390 at 400 bits
@@ -122,15 +123,15 @@ class TestRingLaws:
                 mpmath.mpf(c.numerator) / c.denominator * mpmath.cos(2 * mpmath.pi * k / n)
                 for k, c in enumerate(a.coeffs)
             )
-            slack = bound + total / 2**390
-            assert abs(approx_real(a) - reference) <= mpmath.mpf(slack.numerator) / slack.denominator
+            slack = Fraction(e, d) + total / 2**390
+            assert abs(mpmath.mpf(s) / d - reference) <= mpmath.mpf(slack.numerator) / slack.denominator
 
     @settings(max_examples=40, deadline=None)
     @given(cyclo_batch(1))
     def test_zero_elements_evaluate_to_zero(self, batch):
         (a,) = batch
         z = a - a
-        assert z == 0 and approx_real(z) == 0
+        assert z == 0 and _real_bounds(z, 64) == (0, 0, 1) and approx_str(z, 12) == "0.0"
 
 
 def assert_normal(e: CycloElement) -> None:
