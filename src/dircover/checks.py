@@ -10,7 +10,7 @@ name to its function; a suite's keyword defaults are the CLI's defaults.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from typing import Optional
 
 from .geometry import Point, affine_apply, dual_point_to_line, incident
 from .oracle import MAX_ORACLE_POINTS, oracle_spectrum
@@ -18,13 +18,17 @@ from .randgen import random_invertible_map, random_point, random_point_set, rand
 from .spectrum import pair_directions, spectrum
 
 
-@dataclass
 class CheckReport:
-    name: str
-    passed: int = 0
-    failed: int = 0
-    skipped: int = 0
-    lines: list[str] = field(default_factory=list)
+    """A suite's pass, fail and skip counters and report lines, updated as its trials run."""
+
+    def __init__(
+        self, name: str, passed: int = 0, failed: int = 0, skipped: int = 0, lines: Optional[list[str]] = None
+    ):
+        self.name = name
+        self.passed = passed
+        self.failed = failed
+        self.skipped = skipped
+        self.lines = [] if lines is None else lines
 
     @property
     def ok(self) -> bool:

@@ -9,7 +9,6 @@ the dircover modules it calls, so a process loads no code it does not run.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import DegenerateInputError, DirCoverError, ParseError
@@ -52,6 +51,8 @@ def cmd_spectrum(args) -> int:
     pts = parse_points(_read_text(args.file), args.file)
     rep = spectrum(pts)
     if args.json:
+        import json
+
         index = {p: i for i, p in enumerate(pts)}
         doc = {
             "points": len(pts),
@@ -81,6 +82,8 @@ def cmd_stab(args) -> int:
     lines = parse_lines(_read_text(args.file), args.file)
     counts = sorted(stab_spectrum(lines))
     if args.json:
+        import json
+
         print(json.dumps({"lines": len(lines), "counts": counts}))
         return 0
     print(f"lines: {len(lines)}")
@@ -136,6 +139,8 @@ def cmd_polygon(args) -> int:
     approx = [[approx_str(s, 39) for s in (p.x, p.y)] for p in pts]
     note = CASE2_NOTE if (not cfg.with_center and cfg.vertices % 2 == 1) else None
     if args.json:
+        import json
+
         doc = {
             "vertices": cfg.vertices,
             "with_center": cfg.with_center,
@@ -182,6 +187,8 @@ def cmd_counterexample(args) -> int:
     if args.out:
         write_bundle(bundle, args.out)
     if args.json:
+        import json
+
         print(json.dumps(bundle_to_json(bundle), indent=2))
     else:
         print(f"counterexample: n={bundle.n} ({args.variant} variant), field order {bundle.field_order}")
@@ -233,6 +240,8 @@ def cmd_check(args) -> int:
     given = {k: v for k, v in vars(args).items() if k in ("trials", "size", "bound") and v is not None}
     rep = SUITES[args.suite](args.seed, **given)
     if args.json:
+        import json
+
         print(
             json.dumps(
                 {

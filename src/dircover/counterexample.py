@@ -11,7 +11,6 @@ coefficients; decimal renderings are attached for humans only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -28,17 +27,31 @@ from .polygon import (
 from .spectrum import stab_spectrum
 
 
-@dataclass
 class VerificationReport:
-    """Outcome of the exact checks on one line family."""
+    """Outcome of the exact checks on one line family; equal to another with the same fields."""
 
-    pairwise_nonparallel: bool
-    parallel_witness: Optional[tuple[int, int]]
-    nonconcurrent: bool
-    concurrency_witness: Optional[tuple[str, str]]
-    stab_counts: frozenset[int]
-    forbidden: frozenset[int]
-    forbidden_hit: frozenset[int]
+    def __init__(
+        self,
+        pairwise_nonparallel: bool,
+        parallel_witness: Optional[tuple[int, int]],
+        nonconcurrent: bool,
+        concurrency_witness: Optional[tuple[str, str]],
+        stab_counts: frozenset[int],
+        forbidden: frozenset[int],
+        forbidden_hit: frozenset[int],
+    ):
+        self.pairwise_nonparallel = pairwise_nonparallel
+        self.parallel_witness = parallel_witness
+        self.nonconcurrent = nonconcurrent
+        self.concurrency_witness = concurrency_witness
+        self.stab_counts = stab_counts
+        self.forbidden = forbidden
+        self.forbidden_hit = forbidden_hit
+
+    def __eq__(self, other):
+        if other.__class__ is not VerificationReport:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def passed(self) -> bool:
@@ -63,15 +76,26 @@ class VerificationReport:
         }
 
 
-@dataclass
 class CounterexampleBundle:
-    n: int
-    config: PolygonConfig
-    rotation: RationalRotation
-    lines: tuple[NonVerticalLine, ...]
-    field_order: int
-    certificate: Optional[VerificationReport] = None
-    approx_lines: tuple[tuple[str, str], ...] = field(default_factory=tuple)
+    """An n-line family with the polygon it is dual to; :func:`construct` sets ``certificate`` once built."""
+
+    def __init__(
+        self,
+        n: int,
+        config: PolygonConfig,
+        rotation: RationalRotation,
+        lines: tuple[NonVerticalLine, ...],
+        field_order: int,
+        certificate: Optional[VerificationReport] = None,
+        approx_lines: tuple[tuple[str, str], ...] = (),
+    ):
+        self.n = n
+        self.config = config
+        self.rotation = rotation
+        self.lines = lines
+        self.field_order = field_order
+        self.certificate = certificate
+        self.approx_lines = approx_lines
 
 
 _MAX_N = 300
@@ -167,10 +191,12 @@ def verify(bundle: CounterexampleBundle) -> VerificationReport:
     )
 
 
-@dataclass(frozen=True)
 class FloatCrosscheck:
-    counts: frozenset[int]
-    inconclusive: tuple[float, ...]
+    """The float stab counts of :func:`float_crosscheck` and the abscissas it could not decide."""
+
+    def __init__(self, counts: frozenset[int], inconclusive: tuple[float, ...]):
+        self.counts = counts
+        self.inconclusive = inconclusive
 
     @property
     def conclusive(self) -> bool:

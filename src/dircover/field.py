@@ -126,11 +126,21 @@ def _cyclotomic_terms(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
 def _reduce_mod_cyclo(nums: list[int], order: int) -> list[int]:
     """In-place remainder of an integer polynomial modulo Phi_order.
 
-    Only the nonzero lower terms of Phi_order are subtracted (Phi_24 and
-    Phi_48 have two, Phi_124 has 30); the leading term only clears a
-    coefficient that is dropped anyway.
+    First a fold: zeta^h = -1 for even order, h = order/2, and zeta^h = 1 for
+    odd order, h = order, so a coefficient at i >= h moves to i - h, with its
+    sign flipped for even order.  A product of two reduced elements then
+    leaves only the rows from phi(order) to h for the division by Phi_order,
+    which subtracts only its nonzero lower terms (Phi_24 and Phi_48 have two,
+    Phi_124 has 30); the leading term only clears a coefficient that is
+    dropped anyway.
     """
     deg, terms = _cyclotomic_terms(order)
+    h, sign = (order // 2, -1) if order % 2 == 0 else (order, 1)
+    for i in range(len(nums) - 1, h - 1, -1):
+        c = nums[i]
+        if c:
+            nums[i - h] += sign * c
+    del nums[h:]
     for i in range(len(nums) - 1, deg - 1, -1):
         c = nums[i]
         if c:
@@ -221,13 +231,12 @@ class CycloElement:
         o = _lift(other, self.order)
         if o is None:
             return NotImplemented
-        phi = len(self._num)
-        prod = [0] * (2 * phi - 1)
+        prod = [0] * (2 * len(self._num) - 1)
+        right = [(j, b) for j, b in enumerate(o._num) if b]
         for i, a in enumerate(self._num):
             if a:
-                for j, b in enumerate(o._num):
-                    if b:
-                        prod[i + j] += a * b
+                for j, b in right:
+                    prod[i + j] += a * b
         _reduce_mod_cyclo(prod, self.order)
         return _new()._make(self.order, prod, self._den * o._den)
 

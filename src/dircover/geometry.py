@@ -14,7 +14,6 @@ refuses two orders, by the field's one lifting rule, ``field._lift``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Sequence, Union
@@ -55,47 +54,87 @@ def _canonical(dx: int, dy: int) -> tuple[int, int]:
     return dx // g, dy // g
 
 
-@dataclass(frozen=True)
-class Point:
-    """A point (x, y) over one scalar domain.
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Immutable fields named by ``__slots__``, with structural equality, hash and repr.
+
+    Fields are set once, in construction, through ``object.__setattr__``;
+    assigning or deleting one later raises AttributeError.  Equality holds
+    only between instances of one class.  Copies and pickles are rebuilt
+    through the constructor.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, k) for k in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Point(_Frozen):
+    """An immutable point (x, y) over one scalar domain.
 
     Two Fraction coordinates are kept as given, the result :func:`_unify`
     would give, without checking them again; other pairs are unified.
     """
 
-    x: Scalar
-    y: Scalar
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        if type(self.x) is type(self.y) is Fraction:
-            return
-        x, y = _unify(self.x, self.y)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+    def __init__(self, x: Scalar, y: Scalar):
+        if not type(x) is type(y) is Fraction:
+            x, y = _unify(x, y)
+        _set(self, "x", x)
+        _set(self, "y", y)
+
+    def __eq__(self, other):
+        if other.__class__ is not Point:
+            return NotImplemented
+        return self.x == other.x and self.y == other.y
+
+    def __hash__(self):
+        return hash((self.x, self.y))
 
 
-@dataclass(frozen=True)
-class NonVerticalLine:
-    """The line y + a*x + b = 0 (slope -a).  Never vertical, by construction.
+class NonVerticalLine(_Frozen):
+    """The immutable line y + a*x + b = 0 (slope -a).  Never vertical, by construction.
 
     Two Fraction coefficients are kept as given, as :class:`Point` keeps its
     coordinates; other pairs are unified.
     """
 
-    a: Scalar
-    b: Scalar
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if type(self.a) is type(self.b) is Fraction:
-            return
-        a, b = _unify(self.a, self.b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+    def __init__(self, a: Scalar, b: Scalar):
+        if not type(a) is type(b) is Fraction:
+            a, b = _unify(a, b)
+        _set(self, "a", a)
+        _set(self, "b", b)
 
 
-@dataclass(frozen=True)
-class Direction:
-    """A line direction: the vector (dx, dy) modulo scaling and sign.
+class Direction(_Frozen):
+    """An immutable line direction: the vector (dx, dy) modulo scaling and sign.
 
     A rational direction is canonical when it is built: coprime plain ints
     (a Fraction hash costs a modular inverse) with dx > 0, or (0, 1).  So
@@ -106,26 +145,35 @@ class Direction:
     structural equality.
     """
 
-    dx: Scalar
-    dy: Scalar
+    __slots__ = ("dx", "dy")
 
-    def __post_init__(self):
-        dx, dy = (self.dx, self.dy) if type(self.dx) is type(self.dy) is int else _unify(self.dx, self.dy)
+    def __init__(self, dx: Scalar, dy: Scalar):
+        if not type(dx) is type(dy) is int:
+            dx, dy = _unify(dx, dy)
         if isinstance(dx, Fraction):
             dx, dy = dx.numerator * dy.denominator, dy.numerator * dx.denominator
         if type(dx) is int:
             dx, dy = _canonical(dx, dy)
         elif dx == 0 and dy == 0:
             raise DegenerateInputError("zero direction")
-        object.__setattr__(self, "dx", dx)
-        object.__setattr__(self, "dy", dy)
+        _set(self, "dx", dx)
+        _set(self, "dy", dy)
 
     @classmethod
     def _of_canonical(cls, dx: int, dy: int) -> "Direction":
         """The direction of a pair already reduced by :func:`_canonical`, not reduced again."""
         self = object.__new__(cls)
-        self.__dict__.update(dx=dx, dy=dy)
+        _set(self, "dx", dx)
+        _set(self, "dy", dy)
         return self
+
+    def __eq__(self, other):
+        if other.__class__ is not Direction:
+            return NotImplemented
+        return self.dx == other.dx and self.dy == other.dy
+
+    def __hash__(self):
+        return hash((self.dx, self.dy))
 
     @classmethod
     def between(cls, p: Point, q: Point) -> "Direction":
@@ -215,22 +263,22 @@ def concurrent_family(lines: Sequence[NonVerticalLine]) -> bool:
     return all(collinear(p0, p1, p) for p in duals[2:])
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """Invertible affine map x -> m @ x + t over one scalar domain."""
+class AffineMap(_Frozen):
+    """Invertible affine map x -> m @ x + t over one scalar domain; immutable."""
 
-    m: tuple[tuple[Scalar, Scalar], tuple[Scalar, Scalar]]
-    t: tuple[Scalar, Scalar] = (0, 0)
+    __slots__ = ("m", "t")
 
-    def __post_init__(self):
-        (m00, m01), (m10, m11) = self.m
+    def __init__(
+        self, m: tuple[tuple[Scalar, Scalar], tuple[Scalar, Scalar]], t: tuple[Scalar, Scalar] = (0, 0)
+    ):
+        (m00, m01), (m10, m11) = m
         m00, m01 = _unify(m00, m01)
         m10, m11 = _unify(m10, m11)
-        tx, ty = _unify(*self.t)
+        tx, ty = _unify(*t)
         if m00 * m11 - m01 * m10 == 0:
             raise ValueError("singular matrix")
-        object.__setattr__(self, "m", ((m00, m01), (m10, m11)))
-        object.__setattr__(self, "t", (tx, ty))
+        _set(self, "m", ((m00, m01), (m10, m11)))
+        _set(self, "t", (tx, ty))
 
     def apply(self, p: Point) -> Point:
         (m00, m01), (m10, m11) = self.m

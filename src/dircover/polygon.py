@@ -12,12 +12,11 @@ for cross-validation and for building dual line families.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .field import CycloElement, zeta
-from .geometry import Point
+from .geometry import Point, _Frozen, _set
 
 CASE2_NOTE = (
     "discrepancy note: for n = 2k+1 vertices enumeration gives the spectrum "
@@ -26,18 +25,18 @@ CASE2_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class PolygonConfig:
-    """A regular polygon with ``vertices`` >= 3, optionally plus the circle center."""
+class PolygonConfig(_Frozen):
+    """A regular polygon with ``vertices`` >= 3, optionally plus the circle center; immutable."""
 
-    vertices: int
-    with_center: bool = False
+    __slots__ = ("vertices", "with_center")
 
-    def __post_init__(self):
-        if self.vertices < 3:
-            raise ValueError(f"polygon needs at least 3 vertices, got {self.vertices}")
-        if field_order(self.vertices) > sys.maxsize:  # past it, range() and list sizes overflow
-            raise ValueError(f"{self.vertices} vertices is too many: the field order exceeds {sys.maxsize}")
+    def __init__(self, vertices: int, with_center: bool = False):
+        if vertices < 3:
+            raise ValueError(f"polygon needs at least 3 vertices, got {vertices}")
+        if field_order(vertices) > sys.maxsize:  # past it, range() and list sizes overflow
+            raise ValueError(f"{vertices} vertices is too many: the field order exceeds {sys.maxsize}")
+        _set(self, "vertices", vertices)
+        _set(self, "with_center", with_center)
 
     @property
     def total(self) -> int:
@@ -114,19 +113,17 @@ def polygon_spectrum_closed_form(cfg: PolygonConfig) -> frozenset[int]:
     raise ValueError("no closed form for an odd vertex count with center")
 
 
-@dataclass(frozen=True)
-class RationalRotation:
-    """A rotation by a rational point (c, s) on the unit circle."""
+class RationalRotation(_Frozen):
+    """A rotation by a rational point (c, s) on the unit circle; immutable."""
 
-    c: Fraction
-    s: Fraction
+    __slots__ = ("c", "s")
 
-    def __post_init__(self):
-        c, s = Fraction(self.c), Fraction(self.s)
+    def __init__(self, c, s):
+        c, s = Fraction(c), Fraction(s)
         if c * c + s * s != 1:
             raise ValueError(f"({c}, {s}) is not on the unit circle")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "s", s)
+        _set(self, "c", c)
+        _set(self, "s", s)
 
     @classmethod
     def from_parameter(cls, t) -> "RationalRotation":

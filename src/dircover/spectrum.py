@@ -18,7 +18,6 @@ is checked once, in :func:`spectrum` and :func:`stab_spectrum`.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Mapping, Optional, Sequence
@@ -30,15 +29,16 @@ from .geometry import (
     NonVerticalLine,
     Point,
     _canonical,
+    _Frozen,
+    _set,
     dual_line_to_point,
     ensure_distinct_lines,
     ensure_distinct_points,
 )
 
 
-@dataclass(frozen=True)
-class LinePartition:
-    """Cover of the input set by parallel lines in one direction.
+class LinePartition(_Frozen):
+    """Cover of the input set by parallel lines in one direction; immutable.
 
     Groups are disjoint, nonempty, in first-point order, and their union is
     the input; two points share a group iff their difference is parallel to
@@ -46,16 +46,21 @@ class LinePartition:
     parallel to no chord (all groups are singletons).
     """
 
-    direction: Direction
-    groups: tuple[tuple[Point, ...], ...]
-    generic: bool = False
+    __slots__ = ("direction", "groups", "generic")
+
+    def __init__(self, direction: Direction, groups: tuple[tuple[Point, ...], ...], generic: bool = False):
+        _set(self, "direction", direction)
+        _set(self, "groups", groups)
+        _set(self, "generic", generic)
 
 
-@dataclass(eq=False)
 class SpectrumReport:
-    counts: frozenset[int]
-    witnesses: Mapping[int, LinePartition]
-    vertical_count: int
+    """The spectrum ``counts``, one witness partition per count, and the vertical class count."""
+
+    def __init__(self, counts: frozenset[int], witnesses: Mapping[int, LinePartition], vertical_count: int):
+        self.counts = counts
+        self.witnesses = witnesses
+        self.vertical_count = vertical_count
 
     @property
     def sorted_counts(self) -> list[int]:

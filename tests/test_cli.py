@@ -391,6 +391,9 @@ _LOADED = (
     "print(code, 'mpmath' in sys.modules, *sorted(m[9:] for m in sys.modules if m.startswith('dircover.')))"
 )
 
+# Standard modules that no command uses, or that only the JSON commands use.
+_WATCHED = "print(code, *sorted(m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules))"
+
 
 class TestStartUp:
     @pytest.fixture
@@ -424,6 +427,43 @@ class TestStartUp:
         code, mpmath_loaded, *loaded = _fresh_interpreter(_LOADED, *argv)[-1].split()
         assert (code, mpmath_loaded) == ("0", "False")
         assert needs in loaded and not never & set(loaded)
+
+    @pytest.fixture(scope="class")
+    def preloaded(self):
+        """The watched modules that a bare interpreter already loads on this host."""
+        _, *loaded = _fresh_interpreter("import sys\ncode = 0\n" + _WATCHED)[-1].split()
+        return set(loaded)
+
+    @pytest.mark.parametrize(
+        "argv, json_free",
+        [
+            (["spectrum", "{square}"], True),
+            (["spectrum", "{square}", "--json"], False),
+            (["stab", "{lines}"], True),
+            (["dualize", "points", "{square}"], True),
+            (["verify", "{bundle}"], False),
+            (["check", "duality", "--trials", "20"], True),
+            (["check", "pinchasi", "--trials", "20"], True),
+            (["check", "affine", "--trials", "5"], True),
+            (["check", "oracle", "--trials", "5"], True),
+            (["check", "oracle", "--trials", "5", "--json"], False),
+            (["counterexample", "--n", "7"], False),
+            (["polygon", "--n", "13"], True),
+        ],
+        ids=["spectrum", "spectrum-json", "stab", "dualize", "verify", "duality", "pinchasi", "affine", "oracle",
+             "oracle-json", "counterexample", "polygon"],
+    )
+    def test_commands_load_no_unused_standard_module(
+        self, tmp_path, square_file, bundle, preloaded, argv, json_free
+    ):
+        lines = tmp_path / "fam.lines"
+        lines.write_text("1 0\n2 1\n-1 3\n")
+        argv = [a.format(square=square_file, lines=lines, bundle=bundle) for a in argv]
+        script = "import sys\nfrom dircover.cli import main\ncode = main(sys.argv[1:])\n" + _WATCHED
+        code, *loaded = _fresh_interpreter(script, *argv)[-1].split()
+        added = set(loaded) - preloaded
+        assert code == "0" and not added & {"dataclasses", "inspect"}
+        assert not (json_free and "json" in added)
 
     def test_counterexample_loads_only_what_it_calls(self):
         code, mpmath_loaded, *loaded = _fresh_interpreter(_LOADED, "counterexample", "--n", "7")[-1].split()

@@ -1,7 +1,6 @@
 """Construction and certification tests for the dual line families."""
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -191,7 +190,15 @@ class TestBundleIO:
         # only the reader can see that these are not real lines.
         bundle = construct(24)
         iu = zeta(24, 6)
-        turned = replace(bundle, lines=tuple(NonVerticalLine(line.a * iu, line.b) for line in bundle.lines))
+        turned = CounterexampleBundle(
+            n=bundle.n,
+            config=bundle.config,
+            rotation=bundle.rotation,
+            lines=tuple(NonVerticalLine(line.a * iu, line.b) for line in bundle.lines),
+            field_order=bundle.field_order,
+            certificate=bundle.certificate,
+            approx_lines=bundle.approx_lines,
+        )
         assert verify(turned).verdict == "pass"
         path = tmp_path / "bundle.json"
         write_bundle(turned, path)

@@ -221,17 +221,17 @@ def test_zero_chord_is_a_degenerate_input(dup):
 def count_directions_built(monkeypatch):
     """Counts the Directions built through either constructor: ``Direction(...)`` or ``_of_canonical``."""
     built = [0]
-    post_init, of_canonical = Direction.__post_init__, Direction._of_canonical.__func__
+    init, of_canonical = Direction.__init__, Direction._of_canonical.__func__
 
-    def counted_post_init(self):
+    def counted_init(self, dx, dy):
         built[0] += 1
-        post_init(self)
+        init(self, dx, dy)
 
     def counted_of_canonical(cls, dx, dy):
         built[0] += 1
         return of_canonical(cls, dx, dy)
 
-    monkeypatch.setattr(Direction, "__post_init__", counted_post_init)
+    monkeypatch.setattr(Direction, "__init__", counted_init)
     monkeypatch.setattr(Direction, "_of_canonical", classmethod(counted_of_canonical))
     return built
 

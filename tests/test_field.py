@@ -104,7 +104,42 @@ class TestSparseReduction:
             assert got == expected + [0] * (len(got) - len(expected))
 
 
+def _random_element(rng, m, nonzero):
+    """Integer numerators with ``nonzero`` nonzero terms (None: every term drawn, some 0) over one denominator."""
+    phi = euler_phi(m)
+    nums = [0] * phi
+    if nonzero is None:
+        nums = [rng.choice((0, rng.randint(-10**6, 10**6))) for _ in range(phi)]
+    else:
+        for k in rng.sample(range(phi), min(nonzero, phi)):
+            nums[k] = rng.randint(-10**6, 10**6) or 1
+    return nums, rng.randint(1, 1000)
+
+
+def _schoolbook(a, b, m):
+    """Every coefficient pair multiplied, then divided by Phi_m with no shortcut."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i in range(len(a)):
+        for j in range(len(b)):
+            prod[i + j] += a[i] * b[j]
+    return _dense_reduce(prod, cyclotomic_poly(m))
+
+
+MUL_ORDERS = [3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 24, 30, 31, 48, 60, 97, 100, 105, 124, 128, 210, 255, 256, 299, 300]
+
+
 class TestMultiplication:
+    @pytest.mark.parametrize("m", MUL_ORDERS + [3988])
+    def test_sparse_and_dense_products_match_schoolbook(self, m):
+        rng = random.Random(m)
+        kinds = [(k, q) for k in (1, 2, 4, None) for q in (1, 2, 4, None)]
+        for left, right in kinds if m < 3988 else [(2, 4), (4, None)]:
+            (a, da), (b, db) = _random_element(rng, m, left), _random_element(rng, m, right)
+            x = CycloElement(m, [Fraction(v, da) for v in a])
+            y = CycloElement(m, [Fraction(v, db) for v in b])
+            expected = tuple(Fraction(v, da * db) for v in _schoolbook(a, b, m))
+            assert (x * y).coeffs == expected, (m, left, right)
+
     def test_i_squared(self):
         assert zeta(4) * zeta(4) == -1
 

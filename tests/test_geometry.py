@@ -1,6 +1,8 @@
 """Duality, incidence, and predicate tests over both coordinate domains."""
 
 from fractions import Fraction
+import copy
+import pickle
 from itertools import combinations
 
 import pytest
@@ -22,6 +24,7 @@ from dircover.geometry import (
     incident,
 )
 from dircover.polygon import PolygonConfig, RationalRotation, instantiate_polygon
+from dircover.spectrum import LinePartition
 
 
 def heptagon():
@@ -202,3 +205,74 @@ class TestDomains:
         embedded = Point(CycloElement.from_rational(12, 1), CycloElement.from_rational(12, 2))
         with pytest.raises(DegenerateInputError, match="duplicate point at positions 0 and 1"):
             ensure_distinct_points([Point(1, 2), embedded])
+
+
+# Each value type, two ways of building one value, and a different value.
+VALUES = {
+    "Point": (lambda: Point(Fraction(1, 2), 3), lambda: Point(Fraction(2, 4), Fraction(3)), lambda: Point(3, 1)),
+    "NonVerticalLine": (lambda: NonVerticalLine(1, 2), lambda: NonVerticalLine(Fraction(1), 2), lambda: NonVerticalLine(2, 1)),
+    "Direction": (lambda: Direction(1, 2), lambda: Direction(-2, -4), lambda: Direction(2, 1)),
+    "AffineMap": (
+        lambda: AffineMap(((2, 1), (0, 1)), (5, -1)),
+        lambda: AffineMap(((Fraction(2), 1), (0, 1)), (5, Fraction(-1))),
+        lambda: AffineMap(((2, 1), (0, 1))),
+    ),
+    "PolygonConfig": (lambda: PolygonConfig(7), lambda: PolygonConfig(7, False), lambda: PolygonConfig(7, True)),
+    "RationalRotation": (
+        lambda: RationalRotation(Fraction(3, 5), Fraction(4, 5)),
+        lambda: RationalRotation.from_parameter(Fraction(1, 2)),
+        lambda: RationalRotation(1, 0),
+    ),
+    "LinePartition": (
+        lambda: LinePartition(Direction(1, 0), ((Point(0, 0), Point(1, 0)),)),
+        lambda: LinePartition(Direction(2, 0), ((Point(0, 0), Point(1, 0)),), False),
+        lambda: LinePartition(Direction(1, 0), ((Point(0, 0), Point(1, 0)),), True),
+    ),
+}
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("name", VALUES)
+    def test_equal_values_hash_alike(self, name):
+        make, same, other = VALUES[name]
+        assert make() == same() and hash(make()) == hash(same())
+        assert make() != other() and not make() == other()
+        assert len({make(), same(), other()}) == 2
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_unequal_to_other_types_and_tuples(self, name):
+        value = VALUES[name][0]()
+        fields = tuple(getattr(value, k) for k in type(value).__slots__)
+        assert value != fields and fields != value
+        for other_name, (make, _, _) in VALUES.items():
+            if other_name != name:
+                assert value != make()
+        assert Point(1, 2) != NonVerticalLine(1, 2) and Point(1, 2) != Direction(1, 2)
+        assert Direction(1, 2) != (1, 2) and NonVerticalLine(1, 2) != (Fraction(1), Fraction(2))
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_fields_cannot_be_assigned(self, name):
+        value = VALUES[name][0]()
+        for field in type(value).__slots__:
+            before = getattr(value, field)
+            with pytest.raises(AttributeError):
+                setattr(value, field, 0)
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+            assert getattr(value, field) is before
+        with pytest.raises(AttributeError):
+            value.extra = 0
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_copy_and_pickle_round_trip(self, name):
+        value = VALUES[name][0]()
+        assert copy.copy(value) == value == pickle.loads(pickle.dumps(value))
+
+    def test_repr(self):
+        assert repr(Point(Fraction(1, 2), 3)) == "Point(x=Fraction(1, 2), y=Fraction(3, 1))"
+        assert repr(AffineMap(((2, 1), (0, Fraction(1, 3))), (5, -1))) == (
+            "AffineMap(m=((Fraction(2, 1), Fraction(1, 1)), (Fraction(0, 1), Fraction(1, 3))), "
+            "t=(Fraction(5, 1), Fraction(-1, 1)))"
+        )
+        assert repr(Direction(2, -4)) == "Direction(dx=1, dy=-2)"
+        assert repr(PolygonConfig(7)) == "PolygonConfig(vertices=7, with_center=False)"
