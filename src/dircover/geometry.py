@@ -108,14 +108,6 @@ class Point(_Frozen):
         _set(self, "x", x)
         _set(self, "y", y)
 
-    def __eq__(self, other):
-        if other.__class__ is not Point:
-            return NotImplemented
-        return self.x == other.x and self.y == other.y
-
-    def __hash__(self):
-        return hash((self.x, self.y))
-
 
 class NonVerticalLine(_Frozen):
     """The immutable line y + a*x + b = 0 (slope -a).  Never vertical, by construction.
@@ -166,14 +158,6 @@ class Direction(_Frozen):
         _set(self, "dx", dx)
         _set(self, "dy", dy)
         return self
-
-    def __eq__(self, other):
-        if other.__class__ is not Direction:
-            return NotImplemented
-        return self.dx == other.dx and self.dy == other.dy
-
-    def __hash__(self):
-        return hash((self.dx, self.dy))
 
     @classmethod
     def between(cls, p: Point, q: Point) -> "Direction":
