@@ -10,7 +10,6 @@ name to its function; a suite's keyword defaults are the CLI's defaults.
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from .geometry import Point, affine_apply, dual_point_to_line, incident
 from .oracle import MAX_ORACLE_POINTS, oracle_spectrum
@@ -21,14 +20,10 @@ from .spectrum import pair_directions, spectrum
 class CheckReport:
     """A suite's pass, fail and skip counters and report lines, updated as its trials run."""
 
-    def __init__(
-        self, name: str, passed: int = 0, failed: int = 0, skipped: int = 0, lines: Optional[list[str]] = None
-    ):
+    def __init__(self, name: str):
         self.name = name
-        self.passed = passed
-        self.failed = failed
-        self.skipped = skipped
-        self.lines = [] if lines is None else lines
+        self.passed = self.failed = self.skipped = 0
+        self.lines: list[str] = []
 
     @property
     def ok(self) -> bool:

@@ -119,7 +119,7 @@ def cmd_polygon(args) -> int:
         polygon_spectrum_enumerated,
     )
 
-    if args.n > 2000:  # on a 2-core host n = 2000 runs in 3.7 s, n = 1999 (in Q(zeta_7996)) in 13 s
+    if args.n > 2000:  # pinned to one CPU of a 2-core host, n = 2000 runs in 2.1 s, n = 1999 (in Q(zeta_7996)) in 8 s
         raise ValueError(f"polygon supports n <= 2000, got {args.n}")
     cfg = PolygonConfig(args.n, args.center)
     enumerated = polygon_spectrum_enumerated(cfg)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 import sys
-from decimal import Decimal
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, count
@@ -67,53 +67,55 @@ def format_rational(value: RationalLike) -> str:
     return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
 
 
-def _poly_div_exact(dividend: list[int], divisor: tuple[int, ...]) -> list[int]:
-    """Divide integer polynomials exactly (ascending coefficients, monic divisor)."""
-    rem = list(dividend)
-    dd = len(divisor) - 1
-    quot = [0] * (len(rem) - dd)
-    for i in range(len(rem) - 1, dd - 1, -1):
-        c = rem[i]
-        if c:
-            quot[i - dd] = c
-            for j in range(dd + 1):
-                rem[i - dd + j] -= c * divisor[j]
-    if any(rem):
-        raise ArithmeticError("polynomial division left a remainder")
-    return quot
+def _prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division in O(sqrt(n))."""
+    if n < 1:
+        raise ValueError(f"cyclotomic order must be >= 1, got {n}")
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + [n] if n > 1 else primes
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """n-th cyclotomic polynomial Phi_n, ascending integer coefficients.
 
-    Computed by dividing x^n - 1 by the product of Phi_d over the proper
-    divisors d of n, recursively and exactly.  The result is monic of
-    degree phi(n).
+    For n > 1, Phi_n is the product of (1 - x^(n/e))^mu(e) over the
+    squarefree divisors e of n.  Every factor has constant term 1, so the
+    product is a power series, cut after the degree phi(n) of Phi_n: a
+    factor 1 - x^d multiplies in one pass from the top, and divides out in
+    one pass from the bottom.
     """
-    if n < 1:
-        raise ValueError(f"cyclotomic order must be >= 1, got {n}")
+    primes = _prime_divisors(n)
     if n == 1:
         return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_div_exact(poly, cyclotomic_poly(d))
-    return tuple(poly)
+    divisors = [(1, 1)]  # (e, mu(e))
+    for p in primes:
+        divisors += [(e * p, -mu) for e, mu in divisors]
+    deg = euler_phi(n)
+    series = [1] + [0] * deg
+    for e, mu in divisors:
+        d = n // e
+        if mu > 0:  # times 1 - x^d; from the top, each term reads an old one
+            for i in range(deg, d - 1, -1):
+                series[i] -= series[i - d]
+        else:  # over 1 - x^d; from the bottom, each term reads a new one
+            for i in range(d, deg + 1):
+                series[i] += series[i - d]
+    return tuple(series)
 
 
 def euler_phi(n: int) -> int:
-    """Euler totient from the prime factorisation of n, by trial division in O(sqrt(n))."""
-    if n < 1:
-        raise ValueError(f"cyclotomic order must be >= 1, got {n}")
-    phi, p = n, 2
-    while p * p <= n:
-        if n % p == 0:
-            phi -= phi // p
-            while n % p == 0:
-                n //= p
-        p += 1
-    return phi - phi // n if n > 1 else phi
+    """Euler totient, n times (1 - 1/p) over the primes p dividing n."""
+    phi = n
+    for p in _prime_divisors(n):
+        phi -= phi // p
+    return phi
 
 
 @lru_cache(maxsize=None)
@@ -427,28 +429,17 @@ def _real_bounds(value: Union[Fraction, CycloElement], bits: int) -> tuple[int, 
 def _decimal(num: int, den: int, digits: int) -> str:
     """num / den (den > 0) to ``digits`` significant digits, rounded half up, as text.
 
-    Trailing zeros are stripped, zero is ``0.0``, and a leading digit at
-    10**e prints in fixed point when min(-(digits // 3), -5) < e < digits,
-    else with ``e+N`` or ``e-N``: the ``nstr`` format of the arbitrary
-    precision library that the tests compare against.
+    One correctly rounded ``decimal`` division, over an exponent range wide
+    enough for any quotient of two integers.  Trailing zeros are stripped,
+    zero is ``0.0``, and a leading digit at 10**e prints in fixed point when
+    min(-(digits // 3), -5) < e < digits, else with ``e+N`` or ``e-N``: the
+    ``nstr`` format of the arbitrary precision library that the tests
+    compare against.
     """
     if not num:
         return "0.0"
-    sign, num = ("-", -num) if num < 0 else ("", num)
-
-    def below(e: int) -> bool:  # num / den < 10**e
-        return num * 10**max(-e, 0) < den * 10**max(e, 0)
-
-    e = (num.bit_length() - den.bit_length()) * 1233 >> 12  # log10(2) ~ 1233/4096, off by a little
-    while below(e):
-        e -= 1
-    while not below(e + 1):
-        e += 1
-    shift = digits - 1 - e
-    top, bottom = num * 10**max(shift, 0), den * 10**max(-shift, 0)
-    mant = str((2 * top + bottom) // (2 * bottom))
-    if len(mant) > digits:  # rounded up to the next power of ten
-        mant, e = mant[:digits], e + 1
+    q = Context(prec=digits, rounding=ROUND_HALF_UP, Emax=MAX_EMAX, Emin=MIN_EMIN).divide(num, den)
+    sign, mant, e = "-" if num < 0 else "", "".join(map(str, q.as_tuple().digits)), q.adjusted()
     if min(-(digits // 3), -5) < e < digits:
         text, exponent = ("0." + "0" * (-e - 1) + mant if e < 0 else f"{mant[:e + 1]}.{mant[e + 1:]}"), ""
     else:

@@ -142,20 +142,20 @@ def instantiate_polygon(cfg: PolygonConfig, rotation: RationalRotation) -> list[
     """Exact vertices of the rotated unit-circle n-gon (center last, if present).
 
     Works in Q(zeta_m) with m = lcm(4, n) so that the imaginary unit is
-    zeta_m^(m/4) and both coordinates of w * zeta_n^i split off as field
-    elements: x = (z + conj(z))/2 and y = (conj(z) - z) * i / 2.  Only ring
-    operations and the scalar 1/2 are needed.
+    zeta_m^(m/4) and both coordinates of the vertex w * zeta_n^k split off
+    as field elements.  The walk runs over z = w * zeta_n^k / 2, starting
+    from w/2 = (c + is)/2, so x = z + conj(z) and y = (conj(z) - z) * i take
+    two products per vertex: one by i and one step by zeta_n.
     """
     n = cfg.vertices
     m = field_order(n)
     zn = zeta(m, m // n)
     iu = zeta(m, m // 4)
-    half = Fraction(1, 2)
-    z = iu * rotation.s + rotation.c
+    z = iu * (rotation.s / 2) + rotation.c / 2
     pts = []
     for _ in range(n):
         zbar = z.conjugate()
-        pts.append(Point((z + zbar) * half, (zbar - z) * iu * half))
+        pts.append(Point(z + zbar, (zbar - z) * iu))
         z = z * zn
     if cfg.with_center:
         origin = CycloElement.zero(m)

@@ -55,12 +55,16 @@ class LinePartition(_Frozen):
 
 
 class SpectrumReport:
-    """The spectrum ``counts``, one witness partition per count, and the vertical class count."""
+    """One witness partition per count of the spectrum, and the vertical class count."""
 
-    def __init__(self, counts: frozenset[int], witnesses: Mapping[int, LinePartition], vertical_count: int):
-        self.counts = counts
+    def __init__(self, witnesses: Mapping[int, LinePartition], vertical_count: int):
         self.witnesses = witnesses
         self.vertical_count = vertical_count
+
+    @property
+    def counts(self) -> frozenset[int]:
+        """The spectrum: every count that has a witness."""
+        return frozenset(self.witnesses)
 
     @property
     def sorted_counts(self) -> list[int]:
@@ -208,7 +212,7 @@ def spectrum(points: Sequence[Point]) -> SpectrumReport:
         witnesses[n] = LinePartition(
             generic_direction([d for d, _ in classes]), tuple((p,) for p in pts), generic=True
         )
-    return SpectrumReport(frozenset(witnesses), witnesses, vertical_class_count(pts))
+    return SpectrumReport(witnesses, vertical_class_count(pts))
 
 
 def vertical_class_count(points: Sequence[Point]) -> int:

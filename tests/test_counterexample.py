@@ -339,8 +339,8 @@ class TestBundleIO:
         assert (after.misses, after.currsize) == (before.misses, before.currsize)
 
     def test_crafted_order_is_rejected_before_field_arithmetic(self, tmp_path, capsys):
-        # For Q(zeta_60060) the document is about 300 KB, while Phi_60060 alone takes minutes
-        # to compute; the bound on n refuses it first.
+        # The bound on n refuses this 300 KB document for Q(zeta_60060) from its header alone:
+        # nothing builds a Phi_m before the header is checked.
         message = "verify supports n <= 300, got 15015"
         self.assert_rejected_before_field_arithmetic(tmp_path, capsys, 15015, message)
 

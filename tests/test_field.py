@@ -5,7 +5,9 @@ them (synthetic polynomial division, double-precision trigonometry, sympy's
 cyclotomic polynomials); the implementation never shares code with those.
 """
 
+import decimal
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -17,6 +19,7 @@ from dircover.field import (
     CycloElement,
     _cos_table,
     _cyclotomic_terms,
+    _decimal,
     _real_bounds,
     _reduce_mod_cyclo,
     approx_str,
@@ -53,14 +56,23 @@ class TestCyclotomicPoly:
         assert tuple(reversed(quotient_desc)) == (1, 1, 1, 1, 1, 1, 1)
         assert cyclotomic_poly(7) == (1, 1, 1, 1, 1, 1, 1)
 
-    @pytest.mark.parametrize("n", list(range(1, 37)))
+    # After 1..36: prime powers, orders with many primes, and the largest fields a command builds,
+    # counterexample --n 300 in Q(zeta_1196) and polygon --n 997 and --n 1999 in Q(zeta_3988), Q(zeta_7996).
+    @pytest.mark.parametrize("n", list(range(1, 37)) + [1024, 2187, 3125, 2310, 4620, 1196, 3988, 7996])
     def test_matches_sympy(self, n):
         x = sympy.symbols("x")
         expected = tuple(int(c) for c in reversed(sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()))
         assert cyclotomic_poly(n) == expected
 
+    @pytest.mark.parametrize("n", [7996, 30030])
+    def test_large_orders_are_fast(self, n):
+        start = time.perf_counter()
+        poly = cyclotomic_poly.__wrapped__(n)  # past the cache
+        assert time.perf_counter() - start < 1.0
+        assert len(poly) == euler_phi(n) + 1 and poly[0] == poly[-1] == 1
+
     def test_degree_is_totient(self):
-        for n in range(1, 41):
+        for n in range(1, 3001):
             assert euler_phi(n) == int(sympy.totient(n))
 
     def test_rejects_nonpositive_order(self):
@@ -202,6 +214,61 @@ class TestZeroTest:
         assert _real_bounds(value, 64) == (0, 0, 1)
 
 
+def _integer_decimal(num: int, den: int, digits: int) -> str:
+    """The integer-only rendering that ``_decimal`` replaced: exponent search, scaling and carry."""
+    if not num:
+        return "0.0"
+    sign, num = ("-", -num) if num < 0 else ("", num)
+
+    def below(e: int) -> bool:  # num / den < 10**e
+        return num * 10**max(-e, 0) < den * 10**max(e, 0)
+
+    e = (num.bit_length() - den.bit_length()) * 1233 >> 12
+    while below(e):
+        e -= 1
+    while not below(e + 1):
+        e += 1
+    shift = digits - 1 - e
+    top, bottom = num * 10**max(shift, 0), den * 10**max(-shift, 0)
+    mant = str((2 * top + bottom) // (2 * bottom))
+    if len(mant) > digits:  # rounded up to the next power of ten
+        mant, e = mant[:digits], e + 1
+    if min(-(digits // 3), -5) < e < digits:
+        text, exponent = ("0." + "0" * (-e - 1) + mant if e < 0 else f"{mant[:e + 1]}.{mant[e + 1:]}"), ""
+    else:
+        text, exponent = f"{mant[0]}.{mant[1:]}", f"e{e:+d}"
+    text = text.rstrip("0")
+    return sign + (text + "0" if text.endswith(".") else text) + exponent
+
+
+def _as_quotient(mantissa: int, power: int) -> tuple[int, int]:
+    """mantissa * 10**power as (num, den)."""
+    return (mantissa * 10**power, 1) if power >= 0 else (mantissa, 10**-power)
+
+
+def _decimal_cases(rng: random.Random, count: int):
+    """``count`` seeded (num, den, digits) cases, digits 1 to 40, rich in the values rounding gets wrong."""
+    for i in range(count):
+        digits = rng.randint(1, 40)
+        sign = rng.choice((1, -1))
+        kind = i % 6
+        if kind == 0:  # a random quotient
+            num, den = rng.randint(0, 10 ** rng.randint(1, 60)), rng.randint(1, 10 ** rng.randint(1, 60))
+        elif kind == 1:  # an exact tie: digits + 1 significant digits, the last a 5
+            num, den = _as_quotient(10 * rng.randrange(10 ** (digits - 1), 10**digits) + 5, rng.randint(-60, 60))
+        elif kind == 2:  # a carry: 0.99...95 and its neighbours, which round up to a power of ten
+            length = digits + rng.randint(1, 3)
+            num, den = _as_quotient(10**length - rng.randint(1, 6), rng.randint(-60, 60) - length)
+        elif kind == 3:  # each side of the fixed/exponent thresholds 10**low and 10**digits
+            power = rng.choice((min(-(digits // 3), -5), digits)) + rng.randint(-1, 1)
+            num, den = _as_quotient(10**digits + rng.randint(-3, 3), power - digits)
+        elif kind == 4:  # at most four significant digits, mostly exact at this precision
+            num, den = _as_quotient(rng.randint(1, 10**3), rng.randint(-50, 50))
+        else:  # a zero numerator, or a quotient of two integers below 1000
+            num, den = (0, rng.randint(1, 99)) if rng.random() < 0.05 else (rng.randint(1, 999), rng.randint(1, 999))
+        yield sign * num, den, digits
+
+
 def real(value, bits: int = 64) -> float:
     s, _, d = _real_bounds(value, bits)
     return s / d
@@ -297,6 +364,23 @@ class TestDecimals:
         # the loop settles on the exact real part
         assert approx_str(zeta(4), 12) == "0.0"
         assert approx_str(zeta(6), 39) == "0.5"
+
+    def test_decimal_division_matches_integer_rounding(self):
+        rng = random.Random(18)
+        cases = list(_decimal_cases(rng, 100_000))
+        wrong = [(n, d, k) for n, d, k in cases if _decimal(n, d, k) != _integer_decimal(n, d, k)]
+        assert not wrong, wrong[:5]
+
+    def test_decimal_sets_its_own_exponent_range(self, monkeypatch):
+        # A decimal Context takes what it is not given from decimal.DefaultContext, whose range of
+        # 10**+-999999 is too wide for a test to pass: CPython 3.11 takes about 20 s on one core of a
+        # 2-core x86 host to convert a million-digit integer.  Shrunk to 10**+-20, a default range
+        # would overflow, or round away digits, at 10**+-30.
+        monkeypatch.setattr(decimal.DefaultContext, "Emax", 20)
+        monkeypatch.setattr(decimal.DefaultContext, "Emin", -20)
+        for num, den in ((7 * 10**30, 3), (-7, 3 * 10**30), (10**41 - 5, 10**11)):
+            for digits in (1, 12, 40):
+                assert _decimal(num, den, digits) == _integer_decimal(num, den, digits)
 
     @pytest.mark.parametrize("order", [3, 4, 5, 7, 12, 24, 96, 124, 300, 1204])
     @pytest.mark.parametrize("bits", [64, 172, 344])

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from dircover.field import CycloElement, zeta
 from dircover.geometry import Direction, Point, collinear
 from dircover.polygon import (
     CASE2_NOTE,
@@ -98,6 +99,25 @@ class TestClosedForms:
         assert "{k, 2k+1}" in CASE2_NOTE and "{k+1, 2k+1}" in CASE2_NOTE
 
 
+def _polygon_with_halves(cfg: PolygonConfig, rotation: RationalRotation) -> list[Point]:
+    """The vertex loop that walks w * zeta_n^k and halves both coordinates of each vertex."""
+    n = cfg.vertices
+    m = field_order(n)
+    zn = zeta(m, m // n)
+    iu = zeta(m, m // 4)
+    half = Fraction(1, 2)
+    z = iu * rotation.s + rotation.c
+    pts = []
+    for _ in range(n):
+        zbar = z.conjugate()
+        pts.append(Point((z + zbar) * half, (zbar - z) * iu * half))
+        z = z * zn
+    if cfg.with_center:
+        origin = CycloElement.zero(m)
+        pts.append(Point(origin, origin))
+    return pts
+
+
 class TestInstantiation:
     def test_square_identity(self):
         pts = instantiate_polygon(PolygonConfig(4), RationalRotation(1, 0))
@@ -154,6 +174,15 @@ class TestInstantiation:
                 assert triple_collinear  # center with an antipodal vertex pair
             else:
                 assert not triple_collinear
+
+    @pytest.mark.parametrize("with_center", [False, True])
+    @pytest.mark.parametrize("t", [1, Fraction(1, 2), Fraction(2, 7)])
+    def test_matches_the_loop_with_halves(self, t, with_center):
+        # from_parameter(1) and (1/2) are the two rotations choose_rotation returns
+        rotation = RationalRotation.from_parameter(t)
+        for n in range(3, 81):
+            cfg = PolygonConfig(n, with_center)
+            assert instantiate_polygon(cfg, rotation) == _polygon_with_halves(cfg, rotation), n
 
 
 class TestRotationChoice:
