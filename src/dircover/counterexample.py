@@ -28,30 +28,34 @@ from .spectrum import stab_spectrum
 
 
 class VerificationReport:
-    """Outcome of the exact checks on one line family; equal to another with the same fields."""
+    """What :func:`verify` decides about one line family; equal to another with the same fields."""
 
     def __init__(
         self,
-        pairwise_nonparallel: bool,
         parallel_witness: Optional[tuple[int, int]],
         nonconcurrent: bool,
         concurrency_witness: Optional[tuple[str, str]],
         stab_counts: frozenset[int],
         forbidden: frozenset[int],
-        forbidden_hit: frozenset[int],
     ):
-        self.pairwise_nonparallel = pairwise_nonparallel
         self.parallel_witness = parallel_witness
         self.nonconcurrent = nonconcurrent
         self.concurrency_witness = concurrency_witness
         self.stab_counts = stab_counts
         self.forbidden = forbidden
-        self.forbidden_hit = forbidden_hit
 
     def __eq__(self, other):
         if other.__class__ is not VerificationReport:
             return NotImplemented
         return vars(self) == vars(other)
+
+    @property
+    def pairwise_nonparallel(self) -> bool:
+        return self.parallel_witness is None
+
+    @property
+    def forbidden_hit(self) -> frozenset[int]:
+        return self.stab_counts & self.forbidden
 
     @property
     def passed(self) -> bool:
@@ -179,15 +183,12 @@ def verify(bundle: CounterexampleBundle) -> VerificationReport:
     is_concurrent = concurrent_family(lines)
     witness = _meet_point(lines[0], lines[1]) if is_concurrent else None
 
-    stab = stab_spectrum(lines)
     return VerificationReport(
-        pairwise_nonparallel=parallel_witness is None,
         parallel_witness=parallel_witness,
         nonconcurrent=not is_concurrent,
         concurrency_witness=witness,
-        stab_counts=stab,
+        stab_counts=stab_spectrum(lines),
         forbidden=forbidden,
-        forbidden_hit=stab & forbidden,
     )
 
 

@@ -192,10 +192,6 @@ class CycloElement:
         nums = [value.numerator] + [0] * (euler_phi(order) - 1)
         return _new()._make(order, nums, value.denominator)
 
-    @classmethod
-    def zero(cls, order: int) -> "CycloElement":
-        return cls.from_rational(order, 0)
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The phi(n) rational coefficients on the basis 1, zeta, ..., zeta^(phi(n)-1)."""
@@ -246,13 +242,7 @@ class CycloElement:
 
     def conjugate(self) -> "CycloElement":
         """Image under the automorphism zeta -> zeta^(n-1), i.e. complex conjugation."""
-        n = self.order
-        acc = [0] * max(n, len(self._num))
-        for e, c in enumerate(self._num):
-            if c:
-                acc[(n - e) % n] += c
-        _reduce_mod_cyclo(acc, n)
-        return _new()._make(n, acc, self._den)
+        return _from_powers(self.order, ((-e, c) for e, c in enumerate(self._num)), self._den)
 
     def is_rational(self) -> bool:
         return not any(self._num[1:])
@@ -301,6 +291,14 @@ _new = partial(object.__new__, CycloElement)
 """A blank element, for :meth:`CycloElement._make` to fill."""
 
 
+def _from_powers(order: int, terms: Iterable[tuple[int, int]], den: int = 1) -> CycloElement:
+    """sum c * zeta^e / den over the (e, c) of ``terms``, integers e and c, den > 0, reduced once."""
+    nums = [0] * order
+    for e, c in terms:
+        nums[e % order] += c
+    return _new()._make(order, _reduce_mod_cyclo(nums, order), den)
+
+
 def _lift(value, order: int) -> Optional[CycloElement]:
     """The one lifting rule: a scalar as an element of Q(zeta_order), or None if it is no scalar.
 
@@ -318,8 +316,7 @@ def _lift(value, order: int) -> Optional[CycloElement]:
 
 def zeta(order: int, power: int = 1) -> CycloElement:
     """zeta_n^k as a reduced element of Q(zeta_n)."""
-    k = power % order
-    return CycloElement(order, [0] * k + [1])
+    return _from_powers(order, [(power, 1)])
 
 
 def residue_primes(order: int) -> Iterator[tuple[int, int]]:

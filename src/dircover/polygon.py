@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from math import lcm
 
-from .field import CycloElement, zeta
+from .field import _from_powers
 from .geometry import Point, _Frozen, _set
 
 CASE2_NOTE = (
@@ -141,24 +141,24 @@ def field_order(n: int) -> int:
 def instantiate_polygon(cfg: PolygonConfig, rotation: RationalRotation) -> list[Point]:
     """Exact vertices of the rotated unit-circle n-gon (center last, if present).
 
-    Works in Q(zeta_m) with m = lcm(4, n) so that the imaginary unit is
-    zeta_m^(m/4) and both coordinates of the vertex w * zeta_n^k split off
-    as field elements.  The walk runs over z = w * zeta_n^k / 2, starting
-    from w/2 = (c + is)/2, so x = z + conj(z) and y = (conj(z) - z) * i take
-    two products per vertex: one by i and one step by zeta_n.
+    Works in Q(zeta) with zeta = zeta_m and m = lcm(4, n), so that the vertex
+    w * zeta_n^k, w = c + is, is w * zeta^a with a = k*m/n, and zeta^q = i
+    with q = m/4.  With C_e = (zeta^e + zeta^-e)/2 = cos(2*pi*e/m), its
+    coordinates are x = c*C_a - s*C_(a-q) and y = s*C_a + c*C_(a-q): each is
+    four powers of zeta over 2*lcm(den c, den s), reduced once.
     """
     n = cfg.vertices
     m = field_order(n)
-    zn = zeta(m, m // n)
-    iu = zeta(m, m // 4)
-    z = iu * (rotation.s / 2) + rotation.c / 2
+    q = m // 4
+    den = lcm(rotation.c.denominator, rotation.s.denominator)
+    cn, sn = int(rotation.c * den), int(rotation.s * den)  # den clears both denominators
     pts = []
-    for _ in range(n):
-        zbar = z.conjugate()
-        pts.append(Point(z + zbar, (zbar - z) * iu))
-        z = z * zn
+    for a in range(0, m, m // n):
+        x = _from_powers(m, ((a, cn), (-a, cn), (a - q, -sn), (q - a, -sn)), 2 * den)
+        y = _from_powers(m, ((a, sn), (-a, sn), (a - q, cn), (q - a, cn)), 2 * den)
+        pts.append(Point(x, y))
     if cfg.with_center:
-        origin = CycloElement.zero(m)
+        origin = _from_powers(m, ())
         pts.append(Point(origin, origin))
     return pts
 

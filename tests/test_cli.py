@@ -260,6 +260,22 @@ def test_huge_n_is_refused_in_bounded_time(command, n):
     assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("command, noun", [("spectrum", "points"), ("stab", "lines")])
+def test_large_file_is_refused_in_bounded_time(tmp_path, command, noun):
+    # One row past the bound, where 2000 random points take 18 s and 1.1 GB; a parabola has no collinear triple.
+    import dircover
+    from dircover.cli import _MAX_POINTS
+
+    path = tmp_path / "rows.txt"
+    count = _MAX_POINTS + 1
+    path.write_text("".join(f"{i} {i * i}\n" for i in range(count)))
+    env = {**os.environ, "PYTHONPATH": str(Path(dircover.__file__).parents[1])}
+    argv = [sys.executable, "-m", "dircover.cli", command, str(path)]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=5)
+    assert done.returncode == 2
+    assert done.stderr == f"error: {command} supports at most {_MAX_POINTS} {noun}, got {count}\n"
+
+
 def test_huge_bundle_is_refused_in_bounded_time(tmp_path):
     # A valid n = 301 bundle verifies in 70 s and larger ones take hours; the header alone decides.
     import dircover

@@ -176,6 +176,11 @@ class TestMultiplication:
             for k in range(1, n):
                 assert zeta(n, k) * zeta(n, n - k) == 1
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 12, 15, 28, 97, 100])
+    def test_power_is_taken_mod_the_order(self, n):
+        for k in (-3 * n - 1, -n, -1, n, n + 1, 5 * n + 3):
+            assert zeta(n, k) == CycloElement(n, [0] * (k % n) + [1]), (n, k)
+
 
 class TestConjugation:
     def test_primitive_root(self):
@@ -196,10 +201,21 @@ class TestConjugation:
         real = a + a.conjugate()
         assert real.conjugate() == real
 
+    def test_matches_the_index_loop(self):
+        # the reference: move each coefficient from zeta^e to zeta^(n-e), then divide by Phi_n
+        rng = random.Random(19)
+        for n in list(range(3, 40)) + [97, 105, 128, 199, 255, 299, 300]:
+            nums, den = _random_element(rng, n, None)
+            a = CycloElement(n, [Fraction(v, den) for v in nums])
+            acc = [0] * n
+            for e, v in enumerate(a.coeffs):
+                acc[(n - e) % n] += v
+            assert a.conjugate() == CycloElement(n, acc), n
+
 
 class TestZeroTest:
     def test_sum_of_all_seventh_roots(self):
-        total = CycloElement.zero(7)
+        total = CycloElement.from_rational(7, 0)
         for k in range(7):
             total = total + zeta(7, k)
         assert total == 0
@@ -304,7 +320,7 @@ class TestApprox:
         assert abs(real(-zeta(28, 7) * (zeta(28, 4) + zeta(28, 24)))) < 1e-12
 
     def test_zero(self):
-        assert _real_bounds(CycloElement.zero(9), 64) == (0, 0, 1)
+        assert _real_bounds(CycloElement.from_rational(9, 0), 64) == (0, 0, 1)
 
     def test_higher_precision_tightens(self):
         # Reduced, the pair is -1 - z^2 - z^3 - z^4 - z^5, so at 138 bits the enclosure has
@@ -436,7 +452,7 @@ class TestDomainDiscipline:
 class TestCoeffs:
     def test_length_is_phi(self):
         for n in (1, 2, 6, 7, 12, 28):
-            assert len(CycloElement.zero(n).coeffs) == euler_phi(n)
+            assert len(CycloElement.from_rational(n, 0).coeffs) == euler_phi(n)
 
     def test_reduction_canonicalizes(self):
         # z^7 in Q(zeta_7) is 1

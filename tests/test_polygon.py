@@ -3,9 +3,10 @@
 from fractions import Fraction
 from itertools import combinations
 
+import mpmath
 import pytest
 
-from dircover.field import CycloElement, zeta
+from dircover.field import CycloElement, approx_str, zeta
 from dircover.geometry import Direction, Point, collinear
 from dircover.polygon import (
     CASE2_NOTE,
@@ -113,7 +114,7 @@ def _polygon_with_halves(cfg: PolygonConfig, rotation: RationalRotation) -> list
         pts.append(Point((z + zbar) * half, (zbar - z) * iu * half))
         z = z * zn
     if cfg.with_center:
-        origin = CycloElement.zero(m)
+        origin = CycloElement.from_rational(m, 0)
         pts.append(Point(origin, origin))
     return pts
 
@@ -180,9 +181,23 @@ class TestInstantiation:
     def test_matches_the_loop_with_halves(self, t, with_center):
         # from_parameter(1) and (1/2) are the two rotations choose_rotation returns
         rotation = RationalRotation.from_parameter(t)
-        for n in range(3, 81):
+        for n in [*range(3, 81), 199, 256, 301]:
             cfg = PolygonConfig(n, with_center)
             assert instantiate_polygon(cfg, rotation) == _polygon_with_halves(cfg, rotation), n
+
+    @pytest.mark.parametrize("t", [1, Fraction(1, 2)])
+    @pytest.mark.parametrize("n", [29, 97, 199])
+    def test_decimals_match_the_rotated_cosines(self, n, t):
+        # independent of conjugation: vertex k is (c cos u - s sin u, s cos u + c sin u), u = 2 pi k / n
+        rotation = RationalRotation.from_parameter(t)
+        pts = instantiate_polygon(PolygonConfig(n), rotation)
+        with mpmath.workprec(600):
+            c, s = (mpmath.mpf(v.numerator) / v.denominator for v in (rotation.c, rotation.s))
+            for k, p in enumerate(pts):
+                u = 2 * mpmath.pi * k / n
+                expected = (c * mpmath.cos(u) - s * mpmath.sin(u), s * mpmath.cos(u) + c * mpmath.sin(u))
+                got = (approx_str(p.x, 39), approx_str(p.y, 39))
+                assert got == tuple(mpmath.nstr(v, 39) for v in expected), (n, k)
 
 
 class TestRotationChoice:
