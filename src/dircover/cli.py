@@ -227,7 +227,7 @@ def cmd_verify(args) -> int:
     from .counterexample import read_bundle, verify
 
     bundle = read_bundle(args.file)
-    rep = verify(bundle)
+    rep = verify(bundle.lines)
     print(f"verify: n={bundle.n}, {len(bundle.lines)} lines, field order {bundle.field_order}")
     if rep.pairwise_nonparallel:
         print("pairwise non-parallel: ok")
@@ -235,7 +235,7 @@ def cmd_verify(args) -> int:
         print(f"pairwise non-parallel: FAIL (lines {rep.parallel_witness})")
     if rep.nonconcurrent:
         print("non-concurrent: ok")
-    else:  # a bundle's coefficients are cyclotomic, so there is no rational meet point to print
+    else:  # verify names no meet point: it needs field division
         print("non-concurrent: FAIL (common point)")
     print("stab spectrum:", " ".join(map(str, sorted(rep.stab_counts))))
     hit = " ".join(map(str, sorted(rep.forbidden_hit))) or "none"

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import ParseError
 from .field import CycloElement, _real_bounds, approx_str, euler_phi, format_rational, parse_rational
-from .geometry import NonVerticalLine, concurrent_family, dual_point_to_line
+from .geometry import NonVerticalLine, _Frozen, concurrent_family, dual_point_to_line
 from .polygon import (
     PolygonConfig,
     RationalRotation,
@@ -27,27 +27,10 @@ from .polygon import (
 from .spectrum import stab_spectrum
 
 
-class VerificationReport:
-    """What :func:`verify` decides about one line family; equal to another with the same fields."""
+class VerificationReport(_Frozen):
+    """What :func:`verify` decides about one line family."""
 
-    def __init__(
-        self,
-        parallel_witness: Optional[tuple[int, int]],
-        nonconcurrent: bool,
-        concurrency_witness: Optional[tuple[str, str]],
-        stab_counts: frozenset[int],
-        forbidden: frozenset[int],
-    ):
-        self.parallel_witness = parallel_witness
-        self.nonconcurrent = nonconcurrent
-        self.concurrency_witness = concurrency_witness
-        self.stab_counts = stab_counts
-        self.forbidden = forbidden
-
-    def __eq__(self, other):
-        if other.__class__ is not VerificationReport:
-            return NotImplemented
-        return vars(self) == vars(other)
+    __slots__ = ("parallel_witness", "nonconcurrent", "stab_counts", "forbidden")
 
     @property
     def pairwise_nonparallel(self) -> bool:
@@ -70,9 +53,7 @@ class VerificationReport:
             "pairwise_nonparallel": self.pairwise_nonparallel,
             "parallel_witness": list(self.parallel_witness) if self.parallel_witness else None,
             "nonconcurrent": self.nonconcurrent,
-            "concurrency_witness": list(self.concurrency_witness)
-            if self.concurrency_witness
-            else None,
+            "concurrency_witness": None,  # kept so that bundle documents keep their shape
             "stab_counts": sorted(self.stab_counts),
             "forbidden": sorted(self.forbidden),
             "forbidden_hit": sorted(self.forbidden_hit),
@@ -80,26 +61,21 @@ class VerificationReport:
         }
 
 
-class CounterexampleBundle:
-    """An n-line family with the polygon it is dual to; :func:`construct` sets ``certificate`` once built."""
+class CounterexampleBundle(_Frozen):
+    """An n-line family, the polygon it is dual to, its certificate and decimal renderings.
 
-    def __init__(
-        self,
-        n: int,
-        config: PolygonConfig,
-        rotation: RationalRotation,
-        lines: tuple[NonVerticalLine, ...],
-        field_order: int,
-        certificate: Optional[VerificationReport] = None,
-        approx_lines: tuple[tuple[str, str], ...] = (),
-    ):
-        self.n = n
-        self.config = config
-        self.rotation = rotation
-        self.lines = lines
-        self.field_order = field_order
-        self.certificate = certificate
-        self.approx_lines = approx_lines
+    :func:`read_bundle` gives no certificate (None) and no renderings (()).
+    """
+
+    __slots__ = ("config", "rotation", "lines", "certificate", "approx_lines")
+
+    @property
+    def n(self) -> int:
+        return len(self.lines)
+
+    @property
+    def field_order(self) -> int:
+        return field_order(self.config.vertices)
 
 
 _MAX_N = 300
@@ -137,40 +113,20 @@ def construct(n: int, variant: str = "plain") -> CounterexampleBundle:
     """
     config = family_config(n, variant)
     rotation = choose_rotation(config)
-    points = instantiate_polygon(config, rotation)
-    lines = tuple(dual_point_to_line(p) for p in points)
-    bundle = CounterexampleBundle(
-        n=n,
-        config=config,
-        rotation=rotation,
-        lines=lines,
-        field_order=field_order(config.vertices),
-        approx_lines=approximate_lines(lines),
-    )
-    bundle.certificate = verify(bundle)
-    return bundle
+    lines = tuple(dual_point_to_line(p) for p in instantiate_polygon(config, rotation))
+    return CounterexampleBundle(config, rotation, lines, verify(lines), approximate_lines(lines))
 
 
-def _meet_point(l1: NonVerticalLine, l2: NonVerticalLine) -> Optional[tuple[str, str]]:
-    # Needs field division, so only the rational domain yields coordinates.
-    if not (isinstance(l1.a, Fraction) and isinstance(l2.a, Fraction)):
-        return None
-    x = (l1.b - l2.b) / (l2.a - l1.a)
-    y = -(l1.a * x + l1.b)
-    return (format_rational(x), format_rational(y))
-
-
-def verify(bundle: CounterexampleBundle) -> VerificationReport:
-    """Re-derive the certificate from the bundle's exact line coefficients.
+def verify(lines: Sequence[NonVerticalLine]) -> VerificationReport:
+    """Re-derive the certificate of a line family from its exact coefficients.
 
     The forbidden counts are n-1 and n-2 for the n lines given.  It trusts,
     and does not re-check, what its two producers :func:`read_bundle` and
-    :func:`construct` guarantee: ``bundle.n`` lines with real coefficients.
-    Rational and cyclotomic coefficients may mix; every predicate stays exact.
+    :func:`construct` guarantee: real coefficients.  Rational and cyclotomic
+    coefficients may mix; every predicate stays exact.  A concurrent family
+    fails with no meet point: the point needs field division.
     """
-    lines = bundle.lines
     n = len(lines)
-    forbidden = frozenset({n - 1, n - 2})
 
     # Lexicographically first parallel pair: least first index of a repeated slope, its 2nd index.
     first: dict = {}
@@ -180,24 +136,18 @@ def verify(bundle: CounterexampleBundle) -> VerificationReport:
         if i != j and (parallel_witness is None or i < parallel_witness[0]):
             parallel_witness = (i, j)
 
-    is_concurrent = concurrent_family(lines)
-    witness = _meet_point(lines[0], lines[1]) if is_concurrent else None
-
     return VerificationReport(
         parallel_witness=parallel_witness,
-        nonconcurrent=not is_concurrent,
-        concurrency_witness=witness,
+        nonconcurrent=not concurrent_family(lines),
         stab_counts=stab_spectrum(lines),
-        forbidden=forbidden,
+        forbidden=frozenset({n - 1, n - 2}),
     )
 
 
-class FloatCrosscheck:
+class FloatCrosscheck(_Frozen):
     """The float stab counts of :func:`float_crosscheck` and the abscissas it could not decide."""
 
-    def __init__(self, counts: frozenset[int], inconclusive: tuple[float, ...]):
-        self.counts = counts
-        self.inconclusive = inconclusive
+    __slots__ = ("counts", "inconclusive")
 
     @property
     def conclusive(self) -> bool:
@@ -207,8 +157,8 @@ class FloatCrosscheck:
 _EPSILON = 1e-6  # float_crosscheck's cluster tolerance
 
 
-def float_crosscheck(bundle: CounterexampleBundle) -> FloatCrosscheck:
-    """Approximate stab spectrum from floating intersections, for cross-checks.
+def float_crosscheck(lines: Sequence[NonVerticalLine]) -> FloatCrosscheck:
+    """Approximate stab spectrum of a line family from floating intersections, for cross-checks.
 
     For each pairwise intersection abscissa A it clusters the n ordinate
     values { -(a_i*A + b_i) } at tolerance epsilon = 1e-6 and records the
@@ -223,7 +173,7 @@ def float_crosscheck(bundle: CounterexampleBundle) -> FloatCrosscheck:
         s, _, d = _real_bounds(x, 64)
         return s / d
 
-    coeffs = [(real(line.a), real(line.b)) for line in bundle.lines]
+    coeffs = [(real(line.a), real(line.b)) for line in lines]
     counts = {len(coeffs)}
     inconclusive: list[float] = []
     for i in range(len(coeffs)):
@@ -351,4 +301,4 @@ def read_bundle(path) -> CounterexampleBundle:
         lines = tuple(NonVerticalLine(a, b) for a, b in zip(scalars[::2], scalars[1::2]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed bundle document ({exc})") from None
-    return CounterexampleBundle(n=n, config=config, rotation=rotation, lines=lines, field_order=order)
+    return CounterexampleBundle(config, rotation, lines, None, ())

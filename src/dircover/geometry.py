@@ -60,13 +60,23 @@ _set = object.__setattr__
 class _Frozen:
     """Immutable fields named by ``__slots__``, with structural equality, hash and repr.
 
-    Fields are set once, in construction, through ``object.__setattr__``;
-    assigning or deleting one later raises AttributeError.  Equality holds
-    only between instances of one class.  Copies and pickles are rebuilt
-    through the constructor.
+    The constructor takes every field, by position or by keyword; a missing,
+    extra or unknown field raises TypeError.  A subclass that checks or
+    converts its fields defines its own, and sets each field once through
+    ``object.__setattr__``; assigning or deleting one later raises
+    AttributeError.  Equality holds only between instances of one class.
+    Copies and pickles are rebuilt through the constructor.
     """
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        values = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            raise TypeError(f"{self.__class__.__qualname__}() takes exactly the fields {', '.join(names)}")
+        for name in names:
+            _set(self, name, values[name])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import DegenerateInputError, OrderMismatchError
 from .field import CycloElement, residue, residue_primes
@@ -30,7 +30,6 @@ from .geometry import (
     Point,
     _canonical,
     _Frozen,
-    _set,
     dual_line_to_point,
     ensure_distinct_lines,
     ensure_distinct_points,
@@ -48,18 +47,11 @@ class LinePartition(_Frozen):
 
     __slots__ = ("direction", "groups", "generic")
 
-    def __init__(self, direction: Direction, groups: tuple[tuple[Point, ...], ...], generic: bool = False):
-        _set(self, "direction", direction)
-        _set(self, "groups", groups)
-        _set(self, "generic", generic)
 
+class SpectrumReport(_Frozen):
+    """One witness partition per count of the spectrum (``witnesses``), and the vertical class count."""
 
-class SpectrumReport:
-    """One witness partition per count of the spectrum, and the vertical class count."""
-
-    def __init__(self, witnesses: Mapping[int, LinePartition], vertical_count: int):
-        self.witnesses = witnesses
-        self.vertical_count = vertical_count
+    __slots__ = ("witnesses", "vertical_count")
 
     @property
     def counts(self) -> frozenset[int]:
@@ -170,7 +162,7 @@ def lines_in_direction(points: Sequence[Point], direction: Direction) -> LinePar
     groups: dict[object, list[Point]] = {}
     for p, key in zip(points, keys):
         groups.setdefault(key, []).append(p)
-    return LinePartition(direction, tuple(tuple(g) for g in groups.values()))
+    return LinePartition(direction, tuple(tuple(g) for g in groups.values()), False)
 
 
 def generic_direction(chord_dirs: Sequence[Direction]) -> Direction:
@@ -209,9 +201,7 @@ def spectrum(points: Sequence[Point]) -> SpectrumReport:
         if c not in witnesses:
             witnesses[c] = lines_in_direction(pts, d)
     if n not in witnesses:
-        witnesses[n] = LinePartition(
-            generic_direction([d for d, _ in classes]), tuple((p,) for p in pts), generic=True
-        )
+        witnesses[n] = LinePartition(generic_direction([d for d, _ in classes]), tuple((p,) for p in pts), True)
     return SpectrumReport(witnesses, vertical_class_count(pts))
 
 

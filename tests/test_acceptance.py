@@ -59,7 +59,7 @@ def test_02_theorem_reproduction(bundles):
         built, build_time = bundles
         t0 = time.perf_counter()
         for n, bundle in built.items():
-            report = verify(bundle)
+            report = verify(bundle.lines)
             assert report.pairwise_nonparallel, n
             assert report.nonconcurrent, n
             assert not report.stab_counts & {n - 1, n - 2}, n
@@ -158,7 +158,7 @@ def test_09_float_crosscheck(bundles):
     with criterion(9, "float cross-check"):
         built, _ = bundles
         for n, bundle in built.items():
-            result = float_crosscheck(bundle)
+            result = float_crosscheck(bundle.lines)
             assert result.conclusive, n
             assert result.counts == bundle.certificate.stab_counts, n
 

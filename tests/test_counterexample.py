@@ -22,17 +22,6 @@ from dircover.polygon import PolygonConfig, RationalRotation, choose_rotation, i
 from dircover.spectrum import stab_spectrum
 
 
-def synthetic_bundle(lines):
-    """Bundle wrapper for hand-built rational families (verify reads only the lines)."""
-    return CounterexampleBundle(
-        n=len(lines),
-        config=PolygonConfig(max(3, len(lines))),
-        rotation=RationalRotation(1, 0),
-        lines=tuple(lines),
-        field_order=1,
-    )
-
-
 def sheared_square_lines():
     shear = AffineMap(((1, Fraction(1, 3)), (0, 1)))
     square = [Point(0, 0), Point(1, 0), Point(0, 1), Point(1, 1)]
@@ -95,16 +84,16 @@ class TestConstruct:
 
 
 class TestVerify:
-    def test_concurrent_family_fails_with_witness(self):
+    def test_concurrent_family_fails_without_meet_point(self):
         lines = [dual_point_to_line(Point(k, 2 * k + 1)) for k in range(3)]  # duals of collinear pts
-        report = verify(synthetic_bundle(lines))
+        report = verify(lines)
         assert report.pairwise_nonparallel
         assert not report.nonconcurrent
-        assert report.concurrency_witness is not None
+        assert report.to_json()["concurrency_witness"] is None
         assert report.verdict == "fail"
 
     def test_sheared_square_hits_forbidden(self):
-        report = verify(synthetic_bundle(sheared_square_lines()))
+        report = verify(sheared_square_lines())
         assert report.stab_counts == {2, 3, 4}
         assert report.forbidden == {3, 2}
         assert report.forbidden_hit == {2, 3}
@@ -112,7 +101,7 @@ class TestVerify:
 
     def test_parallel_pair_reported(self):
         lines = [NonVerticalLine(1, 0), NonVerticalLine(2, 0), NonVerticalLine(1, 5)]
-        report = verify(synthetic_bundle(lines))
+        report = verify(lines)
         assert not report.pairwise_nonparallel
         assert report.parallel_witness == (0, 2)
         assert report.verdict == "fail"
@@ -123,7 +112,7 @@ class TestVerify:
         mixed = list(lines)
         mixed[2] = NonVerticalLine(*(CycloElement.from_rational(12, s) for s in (lines[2].a, lines[2].b)))
         assert isinstance(mixed[2].a, CycloElement)
-        assert verify(synthetic_bundle(mixed)) == verify(synthetic_bundle(lines))
+        assert verify(mixed) == verify(lines)
 
 
 class TestNegativeControl:
@@ -137,42 +126,45 @@ class TestNegativeControl:
 
 class TestFloatCrosscheck:
     def test_heptagon(self):
-        result = float_crosscheck(construct(7))
+        result = float_crosscheck(construct(7).lines)
         assert result.counts == {4, 7}
         assert result.conclusive
 
     def test_twelve(self):
-        result = float_crosscheck(construct(12))
+        result = float_crosscheck(construct(12).lines)
         assert result.counts == {6, 7, 12}
         assert result.conclusive
 
     def test_single_line(self):
-        bundle = synthetic_bundle([NonVerticalLine(1, 2)])
-        assert float_crosscheck(bundle).counts == {1}
+        assert float_crosscheck([NonVerticalLine(1, 2)]).counts == {1}
 
     def test_ambiguous_gap_is_inconclusive(self):
         # at the meet of the first two lines a third line passes 5e-6 away:
         # inside [eps, 10*eps) for eps = 1e-6, so the abscissa must be flagged
         tiny = Fraction(1, 200000)
         lines = [NonVerticalLine(0, 0), NonVerticalLine(1, 0), NonVerticalLine(0, -tiny)]
-        result = float_crosscheck(synthetic_bundle(lines))
+        result = float_crosscheck(lines)
         assert not result.conclusive
         assert result.counts == {3}
 
 
 class TestBundleIO:
-    def test_round_trip(self, tmp_path):
-        bundle = construct(7)
+    @pytest.mark.parametrize(
+        "n, variant", [(7, "plain"), (8, "plain"), (24, "plain"), (9, "center")], ids=["7", "8", "24", "center-9"]
+    )
+    def test_round_trip(self, tmp_path, n, variant):
+        bundle = construct(n, variant)
         path = tmp_path / "bundle.json"
         write_bundle(bundle, path)
         loaded = read_bundle(path)
-        assert loaded.n == bundle.n
+        assert loaded.n == bundle.n == n
         assert loaded.config == bundle.config
         assert loaded.rotation == bundle.rotation
         assert loaded.field_order == bundle.field_order
         assert loaded.lines == bundle.lines
         assert loaded.certificate is None and loaded.approx_lines == ()
-        assert verify(loaded).verdict == "pass"
+        assert verify(loaded.lines) == bundle.certificate
+        assert bundle.certificate.verdict == "pass"
 
     def test_tampered_bundle_fails_verification(self, tmp_path):
         bundle = construct(7)
@@ -181,7 +173,7 @@ class TestBundleIO:
         doc = json.loads(path.read_text())
         doc["lines"][1]["a"] = doc["lines"][0]["a"]  # duplicate a slope
         path.write_text(json.dumps(doc))
-        report = verify(read_bundle(path))
+        report = verify(read_bundle(path).lines)
         assert not report.pairwise_nonparallel
         assert report.verdict == "fail"
 
@@ -191,15 +183,13 @@ class TestBundleIO:
         bundle = construct(24)
         iu = zeta(24, 6)
         turned = CounterexampleBundle(
-            n=bundle.n,
             config=bundle.config,
             rotation=bundle.rotation,
             lines=tuple(NonVerticalLine(line.a * iu, line.b) for line in bundle.lines),
-            field_order=bundle.field_order,
             certificate=bundle.certificate,
             approx_lines=bundle.approx_lines,
         )
-        assert verify(turned).verdict == "pass"
+        assert verify(turned.lines).verdict == "pass"
         path = tmp_path / "bundle.json"
         write_bundle(turned, path)
         with pytest.raises(ParseError, match="line 0 a: coefficient is not real"):
@@ -358,4 +348,7 @@ class TestBundleIO:
 
     def test_rational_bundles_are_not_serializable(self):
         with pytest.raises(ValueError):
-            write_bundle(synthetic_bundle([NonVerticalLine(1, 2)]), "/dev/null")
+            write_bundle(
+                CounterexampleBundle(PolygonConfig(3), RationalRotation(1, 0), (NonVerticalLine(1, 2),), None, ()),
+                "/dev/null",
+            )

@@ -46,7 +46,6 @@ from itertools import islice
 import pytest
 
 from dircover.counterexample import (
-    CounterexampleBundle,
     _has_ambiguous_gap,
     construct,
     read_bundle,
@@ -91,7 +90,7 @@ def two_pass_partition(pts, direction):
     groups = {}
     for p in pts:
         groups.setdefault(p.x * direction.dy - p.y * direction.dx, []).append(p)
-    return LinePartition(direction, tuple(tuple(g) for g in groups.values()))
+    return LinePartition(direction, tuple(tuple(g) for g in groups.values()), False)
 
 
 def two_pass_generic(dirs):
@@ -453,19 +452,10 @@ def concurrent_families():
     return families
 
 
-def rational_bundle(lines):
-    return CounterexampleBundle(
-        n=len(lines),
-        config=PolygonConfig(max(3, len(lines))),
-        rotation=RationalRotation(1, 0),
-        lines=tuple(lines),
-        field_order=1,
-    )
-
-
-def assert_certificate_agrees(bundle):
-    lines = list(bundle.lines)
-    report = verify(bundle)
+def assert_certificate_agrees(lines):
+    lines = list(lines)
+    n = len(lines)
+    report = verify(lines)
     witness = double_loop_witness(lines)
     concurrent = double_loop_concurrent(lines)
     stab = two_pass_stab(lines)
@@ -474,13 +464,13 @@ def assert_certificate_agrees(bundle):
     assert report.pairwise_nonparallel == (witness is None)
     assert report.nonconcurrent == (not concurrent)
     assert report.stab_counts == stab
-    failed = witness is not None or concurrent or stab & {bundle.n - 1, bundle.n - 2}
+    failed = witness is not None or concurrent or stab & {n - 1, n - 2}
     assert report.verdict == ("fail" if failed else "pass")
 
 
 @pytest.mark.parametrize("lines", shared_slope_families() + concurrent_families())
 def test_certificate_agrees_with_double_loops(lines):
-    assert_certificate_agrees(rational_bundle(lines))
+    assert_certificate_agrees(lines)
 
 
 def test_tampered_bundle_agrees_with_double_loops(tmp_path):
@@ -494,7 +484,7 @@ def test_tampered_bundle_agrees_with_double_loops(tmp_path):
     path.write_text(json.dumps(doc))
     bundle = read_bundle(path)
     assert double_loop_witness(bundle.lines) == (2, 20)
-    assert_certificate_agrees(bundle)
+    assert_certificate_agrees(bundle.lines)
 
 
 def searched_rotation(cfg):

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from dircover.counterexample import CounterexampleBundle, FloatCrosscheck, VerificationReport
 from dircover.errors import DegenerateInputError, OrderMismatchError
 from dircover.field import CycloElement, zeta
 from dircover.geometry import (
@@ -24,7 +25,7 @@ from dircover.geometry import (
     incident,
 )
 from dircover.polygon import PolygonConfig, RationalRotation, instantiate_polygon
-from dircover.spectrum import LinePartition
+from dircover.spectrum import LinePartition, SpectrumReport
 
 
 def heptagon():
@@ -224,15 +225,46 @@ VALUES = {
         lambda: RationalRotation(1, 0),
     ),
     "LinePartition": (
-        lambda: LinePartition(Direction(1, 0), ((Point(0, 0), Point(1, 0)),)),
-        lambda: LinePartition(Direction(2, 0), ((Point(0, 0), Point(1, 0)),), False),
+        lambda: LinePartition(Direction(1, 0), ((Point(0, 0), Point(1, 0)),), False),
+        lambda: LinePartition(direction=Direction(2, 0), groups=((Point(0, 0), Point(1, 0)),), generic=False),
         lambda: LinePartition(Direction(1, 0), ((Point(0, 0), Point(1, 0)),), True),
     ),
+    "SpectrumReport": (
+        lambda: SpectrumReport({1: LinePartition(Direction(1, 0), ((Point(0, 0), Point(1, 0)),), False)}, 2),
+        lambda: SpectrumReport(
+            vertical_count=2, witnesses={1: LinePartition(Direction(2, 0), ((Point(0, 0), Point(1, 0)),), False)}
+        ),
+        lambda: SpectrumReport({1: LinePartition(Direction(1, 0), ((Point(0, 0), Point(1, 0)),), False)}, 1),
+    ),
+    "VerificationReport": (
+        lambda: VerificationReport(None, True, frozenset({4, 7}), frozenset({5, 6})),
+        lambda: VerificationReport(
+            parallel_witness=None, nonconcurrent=True, stab_counts=frozenset({7, 4}), forbidden=frozenset({6, 5})
+        ),
+        lambda: VerificationReport((0, 2), True, frozenset({4, 7}), frozenset({5, 6})),
+    ),
+    "CounterexampleBundle": (
+        lambda: CounterexampleBundle(PolygonConfig(3), RationalRotation(1, 0), (NonVerticalLine(1, 2),), None, ()),
+        lambda: CounterexampleBundle(
+            config=PolygonConfig(3, False),
+            rotation=RationalRotation(Fraction(1), 0),
+            lines=(NonVerticalLine(Fraction(1), 2),),
+            certificate=None,
+            approx_lines=(),
+        ),
+        lambda: CounterexampleBundle(PolygonConfig(3), RationalRotation(1, 0), (NonVerticalLine(2, 1),), None, ()),
+    ),
+    "FloatCrosscheck": (
+        lambda: FloatCrosscheck(frozenset({4, 7}), ()),
+        lambda: FloatCrosscheck(counts=frozenset({7, 4}), inconclusive=()),
+        lambda: FloatCrosscheck(frozenset({4, 7}), (0.5,)),
+    ),
 }
+HASHABLE = [name for name in VALUES if name != "SpectrumReport"]  # a SpectrumReport holds a dict
 
 
 class TestValueTypes:
-    @pytest.mark.parametrize("name", VALUES)
+    @pytest.mark.parametrize("name", HASHABLE)
     def test_equal_values_hash_alike(self, name):
         make, same, other = VALUES[name]
         assert make() == same() and hash(make()) == hash(same())
@@ -276,3 +308,24 @@ class TestValueTypes:
         )
         assert repr(Direction(2, -4)) == "Direction(dx=1, dy=-2)"
         assert repr(PolygonConfig(7)) == "PolygonConfig(vertices=7, with_center=False)"
+
+    def test_equal_records_without_hash(self):
+        make, same, other = VALUES["SpectrumReport"]
+        assert make() == same() and make() != other() and not make() == other()
+        with pytest.raises(TypeError):
+            hash(make())
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            ((frozenset({4}),), {}),
+            ((frozenset({4}), (), ()), {}),
+            ((frozenset({4}),), {"inconclusive": (), "extra": 0}),
+            ((frozenset({4}),), {"counts": frozenset(), "inconclusive": ()}),
+            ((), {"counts": frozenset({4}), "inconclusive": (), "conclusive": True}),
+        ],
+        ids=["missing", "extra", "unknown", "twice", "property"],
+    )
+    def test_record_constructor_refuses_wrong_fields(self, args, kwargs):
+        with pytest.raises(TypeError, match="takes exactly the fields counts, inconclusive"):
+            FloatCrosscheck(*args, **kwargs)

@@ -1,11 +1,10 @@
 """Golden-output tests: the CLI's stdout and exit codes, byte for byte.
 
-Each case runs ``dircover.cli.main`` in this process with
-``DS_PRECISION_BITS`` unset and compares stdout with ``golden/<case>.out``
-and the exit code with ``golden/exit_codes.json``.  The verify cases read
-the bundle that ``counterexample --n 24 --json`` printed when the files were
-written; the tampered copy repeats three slopes, so its first parallel pair
-is (2, 20).  ``stab`` reads the committed points file as a lines file, which
+Each case runs ``dircover.cli.main`` in this process and compares stdout
+with ``golden/<case>.out`` and the exit code with ``golden/exit_codes.json``.
+The verify cases read the bundle that ``counterexample --n 24 --json``
+printed when the files were written; the tampered copy repeats three
+slopes, so its first parallel pair is (2, 20).  ``stab`` reads the committed points file as a lines file, which
 is the dual family of those points.
 
 The files are written by running this module as a script
@@ -16,7 +15,6 @@ intended change of output, and say which outputs changed and why.
 import contextlib
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -75,8 +73,7 @@ def run(argv: list) -> tuple[int, str]:
 
 
 @pytest.mark.parametrize("case", list(CASES))
-def test_golden_output(case, tmp_path, monkeypatch):
-    monkeypatch.delenv("DS_PRECISION_BITS", raising=False)
+def test_golden_output(case, tmp_path):
     files = write_bundles(tmp_path)
     code, out = run([a.format(**files) for a in CASES[case]])
     assert out == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
@@ -86,7 +83,6 @@ def test_golden_output(case, tmp_path, monkeypatch):
 if __name__ == "__main__":
     import tempfile
 
-    os.environ.pop("DS_PRECISION_BITS", None)
     codes = {}
     with tempfile.TemporaryDirectory() as work:
         for case, argv in CASES.items():  # the verify cases read the counterexample case's output

@@ -3,18 +3,23 @@
 ``bench/trace_layers.py`` wraps every public module-level function of the
 layers it lists, plus the methods in its ``METHODS`` table, and marks a run
 incorrect when a reported metric reads 0.  Deleting or renaming a function it
-reports on would zero that metric, so this test reads the table, without
-importing or running the benchmark, and checks each name against the package.
+reports on would zero that metric, and so would a function that still exists
+but that nothing calls any more.  So this test reads the table, without
+importing or running the benchmark, checks each name against the package,
+and checks in the package's syntax trees that each named function is called
+outside its own body.
 """
 
 import ast
 import importlib
 import inspect
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
-TRACE_LAYERS = Path(__file__).resolve().parents[1] / "bench" / "trace_layers.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACE_LAYERS = ROOT / "bench" / "trace_layers.py"
 
 
 def _constants(*names: str) -> dict:
@@ -50,3 +55,47 @@ def test_traced_metric_names_existing_code(key):
     fn = vars(mod).get(attr)
     assert not attr.startswith("_") and inspect.isfunction(fn), f"{key}: dircover.{name} is no public function"
     assert fn.__module__ == mod.__name__, f"{key}: dircover.{name} is defined in {fn.__module__}"
+
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _call_sites() -> dict:
+    """Each name the package calls, as a bare name or an attribute: (module, enclosing definitions) per call."""
+    sites = defaultdict(list)
+
+    def visit(node, module: str, scope: tuple) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name:
+                    sites[name].append((module, scope))
+            visit(child, module, scope + (child.name,) if isinstance(child, _DEFINITIONS) else scope)
+
+    for path in sorted((ROOT / "src" / "dircover").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, ())
+    return sites
+
+
+CALL_SITES = _call_sites()
+
+
+@pytest.mark.parametrize("key", TRACED)
+def test_traced_metric_names_called_code(key):
+    # Matched by name: an import is no call, a call inside the function's own body
+    # (recursion) does not count, and dunder methods are called by operators.
+    name = key.rsplit(".", 1)[0]
+    targets = [(layer, (cls_name, attr)) for layer, cls_name, attr, metric, _ in TABLES["METHODS"] if metric == name]
+    if not targets:
+        layer, attr = name.split(".")
+        targets = [(layer, (attr,))]
+    for layer, own in targets:
+        if own[-1].startswith("__"):
+            continue
+        callers = [
+            (module, scope)
+            for module, scope in CALL_SITES[own[-1]]
+            if not (module == layer and scope[: len(own)] == own)
+        ]
+        assert callers, f"{key}: nothing in src/dircover calls {layer}.{'.'.join(own)}, so the metric would read 0"
