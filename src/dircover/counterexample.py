@@ -15,7 +15,16 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ParseError
-from .field import CycloElement, _real_bounds, approx_str, euler_phi, format_rational, parse_rational
+from .field import (
+    CycloElement,
+    _format_ratio,
+    _from_ratios,
+    _parse_ratio,
+    _real_bounds,
+    approx_str,
+    euler_phi,
+    format_rational,
+)
 from .geometry import NonVerticalLine, _Frozen, concurrent_family, dual_point_to_line
 from .polygon import (
     PolygonConfig,
@@ -81,8 +90,9 @@ class CounterexampleBundle(_Frozen):
 _MAX_N = 300
 """The most lines :func:`family_config` builds and :func:`read_bundle` loads.
 
-On a 2-core host n = 300 builds and certifies in 17 s, n = 301 (in
-Q(zeta_1204)) in 114 s, and an n = 301 bundle verifies in 70 s.
+Pinned to one CPU of a 2-core host, ``counterexample --n 300`` runs in 1.5 s;
+in process, n = 301 (in Q(zeta_1204)) builds and certifies in 11 s, and an
+n = 301 bundle reads and verifies in 10 s.
 """
 
 
@@ -233,8 +243,8 @@ def bundle_to_json(bundle: CounterexampleBundle) -> dict:
         "field_order": bundle.field_order,
         "lines": [
             {
-                "a": [format_rational(c) for c in line.a.coeffs],
-                "b": [format_rational(c) for c in line.b.coeffs],
+                "a": [_format_ratio(v, line.a._den) for v in line.a._num],
+                "b": [_format_ratio(v, line.b._den) for v in line.b._num],
             }
             for line in bundle.lines
         ],
@@ -259,15 +269,17 @@ def read_bundle(path) -> CounterexampleBundle:
     """
     with open(path, "r", encoding="utf-8") as fp:
         try:  # a JSON integer literal passes parse_rational's digit-limit check before int() runs
-            doc = json.load(fp, parse_int=lambda literal: parse_rational(literal).numerator)
+            doc = json.load(fp, parse_int=lambda literal: _parse_ratio(literal)[0])
         except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
             raise ParseError(f"{path}: invalid JSON ({exc})") from None
         except ParseError as exc:
             raise ParseError(f"{path}: {exc}") from None
 
-    def rational(token, where: str) -> Fraction:
+    def ratio(token, where: str) -> tuple[int, int]:
+        if token == "0":  # most coefficients
+            return 0, 1
         try:
-            return parse_rational(str(token))
+            return _parse_ratio(str(token))
         except ParseError as exc:
             raise ParseError(f"{path}: {where}: {exc}") from None
 
@@ -279,7 +291,7 @@ def read_bundle(path) -> CounterexampleBundle:
         if n > _MAX_N:
             raise ParseError(f"{path}: verify supports n <= {_MAX_N}, got {n}")
         config = PolygonConfig(vertices, center)
-        rotation = RationalRotation(*(rational(doc["rotation"][k], f"rotation {k}") for k in "cs"))
+        rotation = RationalRotation(*(Fraction(*ratio(doc["rotation"][k], f"rotation {k}")) for k in "cs"))
         records = [(rec["a"], rec["b"]) for rec in doc["lines"]]
         if not n == config.total == len(records) or order != field_order(config.vertices):
             raise ParseError(
@@ -293,8 +305,8 @@ def read_bundle(path) -> CounterexampleBundle:
                 where = f"line {i} {name}"
                 if not isinstance(raw, list) or len(raw) != phi:
                     raise ParseError(f"{path}: {where}: expected {phi} coefficients")
-                vectors.append([rational(t, where) for t in raw])
-        scalars = [CycloElement(order, v) for v in vectors]
+                vectors.append([ratio(t, where) for t in raw])
+        scalars = [_from_ratios(order, v) for v in vectors]
         for k, s in enumerate(scalars):
             if s.conjugate() != s:
                 raise ParseError(f"{path}: line {k // 2} {'ab'[k % 2]}: coefficient is not real")

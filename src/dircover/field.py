@@ -44,6 +44,11 @@ def parse_rational(text: str) -> Fraction:
 
     An integer past ``int()``'s digit limit is refused, by its length, before ``int()`` runs.
     """
+    return Fraction(*_parse_ratio(text))
+
+
+def _parse_ratio(text: str) -> tuple[int, int]:
+    """The integers (p, q), q > 0, not always coprime, of :func:`parse_rational`'s text, checked as it checks it."""
     token = text.strip()
     if not _RATIONAL_RE.fullmatch(token):
         raise ParseError(f"not a rational: {_shown(text)}")
@@ -55,16 +60,21 @@ def parse_rational(text: str) -> Fraction:
         num, den = token.split("/")
         if int(den) == 0:
             raise ParseError(f"zero denominator: {_shown(text)}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(token))
+        return int(num), int(den)
+    return int(token), 1
 
 
 def format_rational(value: RationalLike) -> str:
     """Inverse of :func:`parse_rational`; integers print without a denominator, at any length."""
-    q = Fraction(value)
-    if q.denominator == 1:
-        return str(Decimal(q.numerator))
-    return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
+    return _format_ratio(value.numerator, value.denominator)
+
+
+def _format_ratio(num: int, den: int) -> str:
+    """num / den, den > 0, in lowest terms as :func:`format_rational` writes it: one gcd, no Fraction."""
+    g = gcd(num, den)
+    if g == den:
+        return str(Decimal(num // g))
+    return f"{Decimal(num // g)}/{Decimal(den // g)}"
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -273,7 +283,7 @@ class CycloElement:
         for e, c in enumerate(self._num):
             if not c:
                 continue
-            q = format_rational(Fraction(c, self._den))
+            q = _format_ratio(c, self._den)
             if e == 0:
                 terms.append(q)
             else:
@@ -297,6 +307,12 @@ def _from_powers(order: int, terms: Iterable[tuple[int, int]], den: int = 1) -> 
     for e, c in terms:
         nums[e % order] += c
     return _new()._make(order, _reduce_mod_cyclo(nums, order), den)
+
+
+def _from_ratios(order: int, ratios: Sequence[tuple[int, int]]) -> CycloElement:
+    """sum p/q * zeta^e over the (p, q), q > 0, at each index e, over their lcm, reduced once."""
+    den = lcm(*(q for _, q in ratios))
+    return _new()._make(order, _reduce_mod_cyclo([p * (den // q) for p, q in ratios], order), den)
 
 
 def _lift(value, order: int) -> Optional[CycloElement]:

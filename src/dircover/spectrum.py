@@ -9,10 +9,16 @@ engine enumerates those and adjoins the generic count |Q| by construction.
 One scan over the chords classes them and counts each class's cover lines
 (:func:`pair_directions`); partitions are built only as witnesses, one per
 distinct count.  Every class decision is exact.  Rational points become integer
-triples (X, Y, W), W the lcm of a point's own denominators; cyclotomic chords
-are bucketed by slope mod a prime, which parallel chords share, so the exact
-test runs about once per chord.  No float takes part in classing.  Distinctness
-is checked once, in :func:`spectrum` and :func:`stab_spectrum`.
+triples (X, Y, W), W the lcm of a point's own denominators.  Cyclotomic chords
+are bucketed by slope mod a prime, which parallel chords share, and the exact
+test inside a bucket runs on integers: each point's coefficient vectors,
+scaled by one common denominator, are packed into one int each at x = 2**k
+(Kronecker substitution), and parallelism becomes a zero test modulo
+2**(k*m) - 1 that is exact for k above a bound computed from the points
+(:func:`pair_directions` has the proof).  Where bit lengths put k**2 * phi
+past :data:`_PACKED_BUDGET`, the scan keeps the field test
+(:meth:`Direction.parallel_to`).  No float takes part in classing.
+Distinctness is checked once, in :func:`spectrum` and :func:`stab_spectrum`.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .errors import DegenerateInputError, OrderMismatchError
-from .field import CycloElement, residue, residue_primes
+from .field import CycloElement, cyclotomic_poly, euler_phi, residue, residue_primes
 from .geometry import (
     Direction,
     NonVerticalLine,
@@ -101,6 +107,84 @@ def _homogeneous(p: Point) -> tuple[int, int, int]:
     return p.x.numerator * (w // p.x.denominator), p.y.numerator * (w // p.y.denominator), w
 
 
+_PACKED_BUDGET = 350_000
+"""The most k**2 * phi, k the digit width in bits, at which :func:`pair_directions` packs; more keeps the field test.
+
+A packed test multiplies a k*phi-bit chord by a k*m-bit class form, while a
+field product of sparse polygon coordinates costs about the same at any k,
+so packing wins only while k is small, and the more so the larger phi is.
+On rotated polygons (``RationalRotation.from_parameter(p/q)``, many parallel
+chords, heights growing with q), with k as :func:`_packed_coordinates`
+bounds it from bit lengths, the two scans broke even near k**2 * phi =
+500,000 for m = 24 and 48 (k about 250 and 175), 400,000 for m = 124 (k about
+82) and 360,000 for m = 604 (k about 35); at about twice that, packing was
+1.2 to 1.9 times slower.  Every ``construct(n)`` family, n <= 300, is at most
+304,128 (n = 299: phi = 528, k <= 24).
+"""
+
+
+def _cofactor(order: int) -> list[int]:
+    """Q = (x**order - 1) / Phi_order, ascending integer coefficients, by long division by the monic Phi_order."""
+    phi_m = cyclotomic_poly(order)
+    deg = len(phi_m) - 1
+    terms = [(j, c) for j, c in enumerate(phi_m) if c]
+    rem = [-1] + [0] * (order - 1) + [1]
+    quo = [0] * (order - deg + 1)
+    for i in range(order - deg, -1, -1):
+        c = quo[i] = rem[i + deg]
+        if c:
+            for j, t in terms:
+                rem[i + j] -= c * t
+    return quo
+
+
+def _packed_coordinates(points: Sequence[Point], order: int) -> Optional[tuple[int, list[int], list[int], int]]:
+    """(k, xs, ys, Q(2**k)): every coordinate packed at x = 2**k, or None past :data:`_PACKED_BUDGET`.
+
+    Each coordinate, lifted to Q(zeta_m) with m = order and phi = phi(m), is
+    scaled by the common denominator D of all of them to an integer vector
+    of phi coefficients and packed as its value at x = 2**k.  Packing is
+    linear, so a chord's packed dx and dy are differences of packed points.
+    k is the least width that makes :func:`pair_directions`' test exact.
+
+    Gate.  Before anything is scaled or packed, bit lengths bound k: a scaled
+    coefficient num * (D / den) is below 2**w with w = bits(num) + bits(D / den),
+    so a spread is below 2**(w + 1), and k <= bits(2*phi * ||Q||_1) +
+    wx + wy + 2 for the widest x and y coordinates.  When that bound's square
+    times phi exceeds :data:`_PACKED_BUDGET` the answer is None.  It is tried
+    first without the bits of D / den, so large coefficients are refused
+    before the lcm D is taken.
+    """
+    phi = euler_phi(order)
+    vectors = [
+        (v._num, v._den) if isinstance(v, CycloElement) else ((v.numerator,) + (0,) * (phi - 1), v.denominator)
+        for p in points
+        for v in (p.x, p.y)
+    ]
+    cofactor = _cofactor(order)
+    factor = 2 * phi * sum(map(abs, cofactor))
+
+    def beyond(widths: list[int]) -> bool:
+        return (factor.bit_length() + max(widths[0::2]) + max(widths[1::2]) + 2) ** 2 * phi > _PACKED_BUDGET
+
+    widths = [max(map(int.bit_length, nums)) for nums, _ in vectors]
+    if beyond(widths):  # already without the bits of D / den, before D is taken
+        return None
+    den = lcm(*(d for _, d in vectors))
+    scales = [den // d for _, d in vectors]
+    if beyond([w + s.bit_length() for w, s in zip(widths, scales)]):
+        return None
+    scaled = [[v * s for v in nums] for (nums, _), s in zip(vectors, scales)]
+    hx, hy = (max(max(col) - min(col) for col in zip(*scaled[axis::2])) for axis in (0, 1))
+    k = (factor * hx * hy + 1).bit_length()
+
+    def pack(vec) -> int:
+        return sum(v << (k * e) for e, v in enumerate(vec) if v)
+
+    packed = [pack(v) for v in scaled]
+    return k, packed[0::2], packed[1::2], pack(cofactor)
+
+
 def pair_directions(points: Sequence[Point]) -> list[tuple[Direction, int]]:
     """Each parallelism class of chord directions, with its cover count.
 
@@ -111,8 +195,45 @@ def pair_directions(points: Sequence[Point]) -> list[tuple[Direction, int]]:
     dict maps each key to its class's second ends, and a class's Direction is
     built once, from its key.  Otherwise chords are bucketed by slope mod a
     prime (:func:`_slope_key`): parallel chords always share a bucket, so the
-    exact test (:meth:`Direction.parallel_to`) runs only against the classes
-    in the chord's bucket, usually one.
+    exact test runs only against the classes in the chord's bucket, usually
+    one.
+
+    That test is on packed integers (:func:`_packed_coordinates`): a chord
+    (dx, dy) is parallel to class r iff
+    dx * A_r - dy * B_r = 0 mod M = 2**(k*m) - 1, with A_r = dy_r * Q(2**k)
+    mod M and B_r = dx_r * Q(2**k) mod M from the class's first chord.  A
+    class computes A_r and B_r only when a second chord meets it in a bucket,
+    and the residue is found by folding: v -> (v & M) + (v >> k*m) until
+    v <= M, and then v is 0 or M.  The first chord each class absorbs is also
+    tested in the field (:meth:`Direction.parallel_to`), and a disagreement
+    raises ArithmeticError.  Past :data:`_PACKED_BUDGET`, every
+    chord is tested in the field instead, as a Direction against each class
+    in its bucket.
+
+    Exactness.  Chords (dx1, dy1) and (dx2, dy2) are parallel iff
+    X = dx1*dy2 - dy1*dx2, of degree at most 2*phi - 2, vanishes at zeta_m,
+    iff Phi_m | X (Phi_m is the minimal polynomial of zeta_m), iff
+    (x**m - 1) | X*Q with Q = (x**m - 1) / Phi_m, iff F = 0, where F is X*Q
+    with exponents folded mod m (degree below m).  With M = 2**(k*m) - 1,
+    2**(k*m) = 1 mod M, so X(2**k) * Q(2**k) = F(2**k) mod M.  If every
+    coefficient of F is smaller than 2**k - 1 in size, then
+    |F(2**k)| <= (2**k - 2) * M / (2**k - 1) < M, so F(2**k) = 0 mod M forces
+    F(2**k) = 0, and then F = 0: its lowest nonzero coefficient would be a
+    multiple of 2**k.  (The bound is sharp: (2**k - 1)(1 + x + ... + x**(m-1))
+    packs to M.)
+
+    Bound.  Let Hx and Hy be the largest spread (max - min over the points)
+    of one coefficient of the scaled x or y coordinates
+    (:func:`_packed_coordinates`); they bound every chord's dx and dy.  The
+    coefficient X_a sums N(a) = min(a + 1, 2*phi - 1 - a) products from each
+    of dx1*dy2 and dy1*dx2, so |X_a| <= N(a) * (||dx1|| ||dy2|| + ||dy1|| ||dx2||)
+    <= 2*N(a)*Hx*Hy in the max norm, and N(a) <= phi.  A coefficient of F sums
+    X_a * Q_b over a + b = e mod m: each b in [0, m - phi] meets one a in
+    [0, 2*phi - 2], or two, a and a + m, when 2*phi - 1 > m (the wrap, as for
+    prime m).  Two weigh no more than one, as
+    N(a) + N(a + m) <= (a + 1) + (2*phi - 1 - a - m) = 2*phi - m <= phi.  So
+    ||F|| <= B = 2*phi*Hx*Hy * ||Q||_1, and k is the least width with
+    2**k - 1 > B.
 
     Within a class, the points on one cover line are pairwise joined by the
     class's chords, so every point but the first on its line is the second
@@ -131,19 +252,55 @@ def pair_directions(points: Sequence[Point]) -> list[tuple[Direction, int]]:
                 classes[_canonical(xj * wi - xi * wj, yj * wi - yi * wj)].add(j)
         return [(Direction._of_canonical(*d), n - len(js)) for d, js in classes.items()]
     slope = _slope_key(pts)
+    order = next(p.x.order for p in pts if isinstance(p.x, CycloElement))
+    packed = _packed_coordinates(pts, order)
     reps: list[Direction] = []
     seconds: list[set[int]] = []
     buckets: dict[Optional[int], list[int]] = {}
-    for i in range(n):
+    if packed is None:
+        for i in range(n):
+            for j in range(i + 1, n):
+                d = Direction.between(pts[i], pts[j])
+                bucket = buckets.setdefault(slope(i, j), [])
+                k = next((m for m in bucket if d.parallel_to(reps[m])), len(reps))
+                if k == len(reps):
+                    bucket.append(k)
+                    reps.append(d)
+                    seconds.append(set())
+                seconds[k].add(j)
+        return [(d, n - len(js)) for d, js in zip(reps, seconds)]
+    k, xs, ys, q = packed
+    width = k * order
+    mod = (1 << width) - 1
+    firsts: list[tuple[int, int]] = []  # each class's first chord, packed
+    forms: list[Optional[tuple[int, int]]] = []  # its (A_r, B_r), once a second chord meets it
+    checked: set[int] = set()
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
         for j in range(i + 1, n):
-            d = Direction.between(pts[i], pts[j])
+            dx, dy = xs[j] - xi, ys[j] - yi
             bucket = buckets.setdefault(slope(i, j), [])
-            k = next((m for m in bucket if d.parallel_to(reps[m])), len(reps))
-            if k == len(reps):
-                bucket.append(k)
-                reps.append(d)
+            for r in bucket:
+                form = forms[r]
+                if form is None:
+                    rx, ry = firsts[r]
+                    form = forms[r] = (ry * q % mod, rx * q % mod)
+                v = abs(dx * form[0] - dy * form[1])
+                while v > mod:
+                    v = (v & mod) + (v >> width)
+                if v == 0 or v == mod:
+                    if r not in checked:
+                        checked.add(r)
+                        if not Direction.between(pts[i], pts[j]).parallel_to(reps[r]):
+                            raise ArithmeticError(f"packed parallel test at k = {k} disagrees with the field")
+                    break
+            else:
+                r = len(reps)
+                bucket.append(r)
+                reps.append(Direction.between(pts[i], pts[j]))
+                firsts.append((dx, dy))
+                forms.append(None)
                 seconds.append(set())
-            seconds[k].add(j)
+            seconds[r].add(j)
     return [(d, n - len(js)) for d, js in zip(reps, seconds)]
 
 

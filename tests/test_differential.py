@@ -16,6 +16,16 @@ forced into one bucket shows that the buckets only ever skip tests that
 would have said "not parallel".  The gap scan of ``float_crosscheck`` is
 compared with its earlier double loop.
 
+Inside a bucket the production scan tests chords on packed integers, and
+keeps the field test (``Direction.parallel_to``) only for points whose
+coefficients pass its gate.  Both paths, forced past the gate either way,
+must give the same classes on every corpus of this module, the rational
+ones embedded in a cyclotomic field; random chord pairs of small polygons,
+all in one bucket, must agree too, and the folded cross product that the
+packed test reduces must stay inside the width it was packed at.  Hostile
+bundles, a 32-digit rotation and 30-digit noise, take the field path and
+verify within seconds.
+
 Rational input runs on integer triples (X, Y, W), one per point.  The
 two-pass reference keeps the earlier ``Fraction`` arithmetic (chord
 directions by ``Direction.between``, cover keys by ``x*dy - y*dx``), so
@@ -39,13 +49,22 @@ the same rotation for every vertex count it is compared on.
 
 import importlib
 import json
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
+from math import lcm
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dircover.counterexample import (
+    CounterexampleBundle,
     _has_ambiguous_gap,
     construct,
     read_bundle,
@@ -53,11 +72,12 @@ from dircover.counterexample import (
     write_bundle,
 )
 from dircover.errors import DegenerateInputError, OrderMismatchError
-from dircover.field import _real_bounds, residue, residue_primes
+from dircover.field import CycloElement, _real_bounds, cyclotomic_poly, euler_phi, residue, residue_primes, zeta
 from dircover.geometry import (
     Direction,
     NonVerticalLine,
     Point,
+    affine_apply,
     collinear,
     concurrent_family,
     dual_line_to_point,
@@ -66,7 +86,7 @@ from dircover.geometry import (
 )
 from dircover.oracle import oracle_spectrum
 from dircover.polygon import PolygonConfig, RationalRotation, choose_rotation, instantiate_polygon
-from dircover.randgen import random_point_set
+from dircover.randgen import random_invertible_map, random_point_set
 from dircover.spectrum import LinePartition, pair_directions, spectrum, stab_spectrum
 
 
@@ -279,21 +299,30 @@ def test_integer_oracle_agrees_with_fraction_oracle(bound):
         assert oracle_spectrum(pts) == fraction_oracle(pts)
 
 
-def test_sub_float_perturbation_is_decided_exactly():
+def perturbed_polygon():
     # Moving one vertex by 10**-30 leaves its chords parallel to their old
     # classes as far as floats can tell; only the exact test splits them.
     pts = polygon(24)
     pts[5] = Point(pts[5].x + Fraction(1, 10**30), pts[5].y)
+    return pts
+
+
+def test_sub_float_perturbation_is_decided_exactly():
+    pts = perturbed_polygon()
     rep = assert_agrees_with_reference(pts)
     assert len(pair_directions(pts)) > len(pair_directions(polygon(24)))
     assert rep.counts != spectrum(polygon(24)).counts
 
 
-@pytest.mark.parametrize("scale", [Fraction(10**400), Fraction(1, 10**400)], ids=["huge", "tiny"])
-def test_coordinates_beyond_float_range_fall_back_to_exact(scale):
+def scaled_polygon(scale):
     pts = [Point(p.x * scale, p.y * scale) for p in polygon(12, center=True)]
     pts.append(Point(scale * 3, scale / 7))  # a Fraction point in the cyclotomic list
-    assert_agrees_with_reference(pts)
+    return pts
+
+
+@pytest.mark.parametrize("scale", [Fraction(10**400), Fraction(1, 10**400)], ids=["huge", "tiny"])
+def test_coordinates_beyond_float_range_fall_back_to_exact(scale):
+    assert_agrees_with_reference(scaled_polygon(scale))
 
 
 def count_parallel_tests(monkeypatch):
@@ -308,19 +337,39 @@ def count_parallel_tests(monkeypatch):
     return calls
 
 
+SPECTRUM = importlib.import_module("dircover.spectrum")  # the module, not the function that this file imports
+FIELD, PACKED = 0, 10**30  # gate budgets that force the field test and packing
+
+
+def scan(pts, budget):
+    """pair_directions with the packing gate at ``budget``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SPECTRUM, "_PACKED_BUDGET", budget)
+        return pair_directions(pts)
+
+
+def packs(pts):
+    """Whether pair_directions packs these cyclotomic points at the module's own budget."""
+    order = next(p.x.order for p in pts if isinstance(p.x, CycloElement))
+    return SPECTRUM._packed_coordinates(pts, order) is not None
+
+
 @pytest.mark.parametrize("n, center", [(24, False), (31, True)])
 def test_one_bucket_decides_every_pair_exactly(n, center, monkeypatch):
     pts = polygon(n, center)
+    assert packs(pts)
     bucketed = pair_directions(pts)
     calls = count_parallel_tests(monkeypatch)
-    spectrum_module = importlib.import_module("dircover.spectrum")  # the package re-exports spectrum()
-    monkeypatch.setattr(spectrum_module, "_slope_key", lambda points: lambda i, j: 0)
+    monkeypatch.setattr(SPECTRUM, "_slope_key", lambda points: lambda i, j: 0)
+    assert pair_directions(pts) == bucketed
+    monkeypatch.setattr(SPECTRUM, "_PACKED_BUDGET", FIELD)
+    calls[0] = 0
     assert pair_directions(pts) == bucketed
     assert calls[0] > len(pts) * (len(pts) - 1) // 2
 
 
-@pytest.mark.parametrize("reason", ["denominator", "congruent"])
-def test_prime_that_must_be_skipped(reason):
+def skipped_prime_points(reason):
+    """polygon(12) changed so that the first prime of its slope key must be skipped."""
     pts = polygon(12)
     p, w = next(residue_primes(pts[0].x.order))
     if reason == "denominator":
@@ -331,18 +380,26 @@ def test_prime_that_must_be_skipped(reason):
         # (0, 0); it is parallel to the chord to a third point whose slope
         # mod p is 1, so keying under p would split one class in two.
         pts += [Point(pts[0].x + p, pts[0].y + p), Point(pts[0].x + 1, pts[0].y + 1)]
-    assert_agrees_with_reference(pts)
+    return pts
+
+
+@pytest.mark.parametrize("reason", ["denominator", "congruent"])
+def test_prime_that_must_be_skipped(reason):
+    assert_agrees_with_reference(skipped_prime_points(reason))
+
+
+def thirty_digit_points(n):
+    """polygon(n) with every coordinate moved by its own rational with a 30-digit denominator."""
+    rng = random.Random(n)
+    return [
+        Point(*(s + Fraction(rng.randint(1, 9), rng.randrange(10**29, 10**30)) for s in (p.x, p.y)))
+        for p in polygon(n)
+    ]
 
 
 @pytest.mark.parametrize("n", [12, 24])
 def test_thirty_digit_denominators(n):
-    # Every coordinate moves by its own rational with a 30-digit denominator.
-    rng = random.Random(n)
-    pts = [
-        Point(*(s + Fraction(rng.randint(1, 9), rng.randrange(10**29, 10**30)) for s in (p.x, p.y)))
-        for p in polygon(n)
-    ]
-    assert_agrees_with_reference(pts)
+    assert_agrees_with_reference(thirty_digit_points(n))
 
 
 def test_mixed_cyclotomic_orders_are_refused():
@@ -360,6 +417,192 @@ def test_exact_tests_at_most_one_per_chord(monkeypatch):
     classes = pair_directions(pts)
     assert calls[0] <= len(pts) * (len(pts) - 1) // 2 == 1128
     assert len(classes) == 48 and {c for _, c in classes} == {24, 25}
+
+
+def rotated_polygon(n, digits):
+    """The regular n-gon rotated by the half-angle parameter p/q, q a random ``digits``-digit integer."""
+    rng = random.Random(digits)
+    q = rng.randrange(10 ** (digits - 1), 10**digits)
+    cfg, rotation = PolygonConfig(n), RationalRotation.from_parameter(Fraction(rng.randrange(1, q), q))
+    return cfg, rotation, instantiate_polygon(cfg, rotation)
+
+
+def noisy_lines(n, digits):
+    """construct(n)'s lines with a + v + conj(v) for a, v = sum zeta**k / q_k over k < phi, q_k random d-digit ints."""
+    rng = random.Random(digits)
+    bundle = construct(n)
+    m = bundle.field_order
+    noisy = []
+    for line in bundle.lines:
+        qs = [rng.randrange(10 ** (digits - 1), 10**digits) for _ in line.a._num]
+        v = sum((zeta(m, k) * Fraction(1, q) for k, q in enumerate(qs)), Fraction(0))
+        noisy.append(NonVerticalLine(line.a + v + v.conjugate(), line.b))
+    return bundle, tuple(noisy)
+
+
+def hostile_bundle(which):
+    """A real, valid n = 24 bundle past the gate: a 32-digit rotation, or 30-digit noise on every slope."""
+    if which == "rotated32":
+        cfg, rotation, pts = rotated_polygon(24, 32)
+        return CounterexampleBundle(cfg, rotation, tuple(map(dual_point_to_line, pts)), None, ())
+    bundle, lines = noisy_lines(24, 30)
+    return CounterexampleBundle(bundle.config, bundle.rotation, lines, None, ())
+
+
+def embedded(pts, order):
+    """Rational points as points of Q(zeta_order), which the cyclotomic scan classes."""
+    return [Point(CycloElement.from_rational(order, p.x), CycloElement.from_rational(order, p.y)) for p in pts]
+
+
+def cyclotomic_corpora():
+    """Every corpus of this module in the cyclotomic scan.
+
+    The polygons, the special cyclotomic families and two past the gate as
+    they are, and the rational corpora embedded in Q(zeta_5), where
+    2*phi - 1 > m, or Q(zeta_12), taking turns.
+    """
+    rational = random_sets() + [pytest.param(LATTICE, id="lattice8")] + rational_corpora()
+    orders = [(5, 12)[k % 2] for k in range(len(rational))]
+    return (
+        polygons()
+        + [pytest.param(embedded(c.values[0], m), id=f"{c.id}-z{m}") for c, m in zip(rational, orders)]
+        + [pytest.param(skipped_prime_points(r), id=f"skipped-{r}") for r in ("denominator", "congruent")]
+        + [pytest.param(thirty_digit_points(n), id=f"den30-polygon{n}") for n in (12, 24)]
+        + [pytest.param(scaled_polygon(Fraction(10**400)), id="huge")]
+        + [pytest.param(scaled_polygon(Fraction(1, 10**400)), id="tiny")]
+        + [pytest.param(perturbed_polygon(), id="perturbed24")]
+        + [pytest.param(rotated_polygon(24, 32)[2], id="rotated24-d32")]
+        + [pytest.param([dual_line_to_point(line) for line in noisy_lines(12, 30)[1]], id="noise12-d30")]
+    )
+
+
+@pytest.mark.parametrize("pts", cyclotomic_corpora())
+def test_packed_scan_agrees_with_field_scan(pts):
+    # Every class, its first chord and its count; forced past the gate both ways.
+    assert scan(pts, PACKED) == scan(pts, FIELD)
+
+
+@pytest.mark.parametrize("n", [24, 31, 48, 99])
+def test_construct_takes_the_packed_scan(n, monkeypatch):
+    # One field test per class that absorbs a chord: its first one.
+    pts = [dual_line_to_point(line) for line in construct(n).lines]
+    assert packs(pts)
+    calls = count_parallel_tests(monkeypatch)
+    classes = pair_directions(pts)
+    assert calls[0] == sum(1 for _, c in classes if n - c >= 2) > 0
+
+
+def test_packed_width_is_exact_at_its_bound():
+    # In Q(zeta_1) = Q the chords (1, 0), (0, b) and (-1, b) have cross
+    # products b, b and b, and the bound is 2 * Hx * Hy = 2b.  For b = 2**j - 1
+    # that makes k = j + 1, the least k with 2**k - 1 > 2b; at k = j the
+    # modulus 2**j - 1 is b itself, and every pair would pass as parallel.
+    b = 2**40 - 1
+    pts = embedded([Point(0, 0), Point(1, 0), Point(0, b)], 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SPECTRUM, "_slope_key", lambda points: lambda i, j: 0)
+        classes = pair_directions(pts)
+    assert [d for d, _ in classes] == two_pass_directions(pts)
+    assert len(classes) == 3
+
+
+@pytest.mark.parametrize("which, verdict", [("rotated32", 0), ("noise30", 1)])
+def test_hostile_bundles_keep_the_field_scan(which, verdict, tmp_path):
+    # Packing them anyway costs 2 to 4 times the field scan, and more as the digits grow.
+    import dircover
+
+    bundle = hostile_bundle(which)
+    pts = [dual_line_to_point(line) for line in bundle.lines]
+    assert not packs(pts)
+    classes = pair_directions(pts)
+    assert classes == scan(pts, PACKED)
+    assert len(classes) == 24 if which == "rotated32" else {c for _, c in classes} == {23}
+    path = tmp_path / f"{which}.json"
+    write_bundle(bundle, path)
+    env = {**os.environ, "PYTHONPATH": str(Path(dircover.__file__).parents[1])}
+    start = time.perf_counter()
+    argv = [sys.executable, "-m", "dircover.cli", "verify", str(path)]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=5)
+    assert time.perf_counter() - start < 5
+    assert done.returncode == verdict and "Traceback" not in done.stderr
+
+
+def affine_polygon(m):
+    """(cos 2*pi*k/m, cos 2*pi*(k+1)/m) for k < m: an invertible linear image of the regular m-gon, in Q(zeta_m)."""
+    c = [(zeta(m, k) + zeta(m, -k)) * Fraction(1, 2) for k in range(m + 1)]
+    return [Point(c[k], c[k + 1]) for k in range(m)]
+
+
+SMALL_POLYGONS = {5: affine_polygon(5), 12: polygon(12, center=True), 124: polygon(31)}
+
+
+def chord_quadruples():
+    """Four vertices of a small polygon under a random rational affine map.
+
+    Chords (i, j) and (k, l) of a regular n-gon are parallel iff
+    i + j = k + l mod n; half the draws pick l so.
+    """
+
+    @st.composite
+    def draw(draw_):
+        order = draw_(st.sampled_from(sorted(SMALL_POLYGONS)))
+        pts, sides = SMALL_POLYGONS[order], {5: 5, 12: 12, 124: 31}[order]
+        i, j, k = draw_(st.lists(st.integers(0, len(pts) - 1), min_size=3, max_size=3, unique=True))
+        l = (i + j - k) % sides if draw_(st.booleans()) else draw_(st.integers(0, len(pts) - 1))
+        if l in (i, j, k):
+            l = next(x for x in range(len(pts)) if x not in (i, j, k))
+        rng = random.Random(draw_(st.integers(0, 2**32)))
+        amap = random_invertible_map(rng, draw_(st.sampled_from([1, 9, 10**6])))
+        return order, affine_apply(amap, [pts[i], pts[j], pts[k], pts[l]])
+
+    return draw()
+
+
+@settings(max_examples=150, deadline=None)
+@given(chord_quadruples())
+def test_packed_test_decides_random_chord_pairs(case):
+    # One bucket holds every chord, so every pair of classes meets the packed test.
+    _, pts = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SPECTRUM, "_slope_key", lambda points: lambda a, b: 0)
+        assert scan(pts, PACKED) == scan(pts, FIELD)
+
+
+@settings(max_examples=100, deadline=None)
+@given(chord_quadruples())
+def test_width_bounds_every_folded_cross_product(case):
+    # F = (dx1*dy2 - dy1*dx2) * Q with exponents folded mod m, on the points
+    # scaled by their common denominator: below 2**k - 1 for every pair of
+    # chords, and zero exactly for parallel ones.
+    order, pts = case
+    phi = euler_phi(order)
+    coords = [CycloElement.from_rational(order, c) if isinstance(c, Fraction) else c for p in pts for c in (p.x, p.y)]
+    den = lcm(*(c._den for c in coords))
+    vecs = [[v * (den // c._den) for v in c._num] for c in coords]
+    chords = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
+    q = [1]  # Q = (x**m - 1) / Phi_m, the product of Phi_d over the divisors d < m of m
+    for d in (d for d in range(1, order) if order % d == 0):
+        phi_d = cyclotomic_poly(d)
+        d_deg = len(phi_d) - 1
+        q = [sum(q[t - s] * c for s, c in enumerate(phi_d) if 0 <= t - s < len(q)) for t in range(len(q) + d_deg)]
+    q = [(e, c) for e, c in enumerate(q) if c]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SPECTRUM, "_PACKED_BUDGET", PACKED)
+        k = SPECTRUM._packed_coordinates(pts, order)[0]
+    for (i, j), (r, s) in combinations(chords, 2):
+        dx1, dy1 = ([b - a for a, b in zip(vecs[2 * i + t], vecs[2 * j + t])] for t in (0, 1))
+        dx2, dy2 = ([b - a for a, b in zip(vecs[2 * r + t], vecs[2 * s + t])] for t in (0, 1))
+        x = [0] * (2 * phi - 1)
+        for a in range(phi):
+            for b in range(phi):
+                x[a + b] += dx1[a] * dy2[b] - dy1[a] * dx2[b]
+        f = [0] * order
+        for a, v in enumerate(x):
+            for e, c in q:
+                f[(a + e) % order] += v * c
+        assert max(map(abs, f)) < 2**k - 1
+        parallel = Direction.between(pts[i], pts[j]).parallel_to(Direction.between(pts[r], pts[s]))
+        assert parallel == (not any(f))
 
 
 def double_loop_ambiguous(ys, epsilon):
