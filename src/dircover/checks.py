@@ -14,7 +14,7 @@ import random
 from .geometry import Point, affine_apply, dual_point_to_line, incident
 from .oracle import MAX_ORACLE_POINTS, oracle_spectrum
 from .randgen import random_invertible_map, random_point, random_point_set, random_rational
-from .spectrum import pair_directions, spectrum
+from .spectrum import _homogeneous, _rational_classes, spectrum
 
 
 class CheckReport:
@@ -82,10 +82,10 @@ def pinchasi_check(seed: int, trials: int = 1000, bound: int = 50) -> CheckRepor
     draws from random.Random(seed + n).  Collinear draws are skipped (the
     bound presumes non-collinearity) and each size notes how many it skipped.
 
-    I(Q) is read as {n} and the class counts of :func:`pair_directions`,
-    which for distinct points (as random_point_set draws them) is exactly
-    ``spectrum(pts).counts``; the witnesses that spectrum would build are
-    never read here.
+    I(Q) is read as {n} and the class counts of the rational classing
+    kernel that :func:`spectrum` runs, which for distinct points (as
+    random_point_set draws them) is exactly ``spectrum(pts).counts``; no
+    Direction or witness is built here.
     """
     rep = CheckReport("pinchasi")
     base, extra = divmod(trials, 10)
@@ -100,7 +100,7 @@ def pinchasi_check(seed: int, trials: int = 1000, bound: int = 50) -> CheckRepor
             if checked + rejected >= 200 * quota + 1000:
                 raise RuntimeError("collinear rejection rate implausibly high")
             pts = random_point_set(rng, n, bound)
-            counts = {n} | {c for _, c in pair_directions(pts)}
+            counts = {n, *_rational_classes(list(map(_homogeneous, pts))).values()}
             # three or more points are collinear iff one line covers them all: 1 in I(Q)
             if 1 in counts:
                 rejected += 1

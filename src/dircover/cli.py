@@ -17,8 +17,11 @@ from .errors import DegenerateInputError, DirCoverError, ParseError
 _MAX_POINTS = 1600
 """The most points ``spectrum`` and lines ``stab`` read (``dualize`` is linear, so unbounded).
 
-Pinned to one CPU of a 2-core host, 1600 random rational points take
-``spectrum`` 10-11 s and 705 MB and ``stab`` 8-9 s and 673 MB; 2000 take 18 s and 1.1 GB.
+Pinned to one CPU of a 2-core host (CPython 3.11), random rational points
+with coordinates p/q, |p|, q <= 10**4, take ``spectrum`` and ``stab``
+0.5-0.85 s and 75 MB at 800 points and 1.9-3.2 s and 252 MB at 1600 (the
+host drifts); 2000 take 4-5 s and 400 MB in process.  The limit waits for a
+bound on coefficient height before it is raised.
 """
 
 

@@ -8,8 +8,27 @@ from fractions import Fraction
 from .geometry import AffineMap, Point
 
 
+def _below(getrandbits, n: int) -> int:
+    """A uniform int in [0, n), n >= 1, drawn as ``random.Random._randbelow_with_getrandbits`` draws it."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def random_rational(rng: random.Random, bound: int) -> Fraction:
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+    """Fraction(rng.randint(-bound, bound), rng.randint(1, bound)), bound >= 1.
+
+    Both draws replay ``randint``'s own (randint -> randrange -> one
+    ``getrandbits(n.bit_length())`` per try until below the range's width n),
+    so the numbers and the generator's state afterwards are exactly
+    ``randint``'s, without its per-call argument checks.
+    """
+    if bound < 1:
+        raise ValueError(f"coordinate bound must be at least 1, got {bound}")
+    getrandbits = rng.getrandbits
+    return Fraction(_below(getrandbits, 2 * bound + 1) - bound, _below(getrandbits, bound) + 1)
 
 
 def random_point(rng: random.Random, bound: int) -> Point:

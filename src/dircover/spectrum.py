@@ -9,24 +9,25 @@ engine enumerates those and adjoins the generic count |Q| by construction.
 One scan over the chords classes them and counts each class's cover lines
 (:func:`pair_directions`); partitions are built only as witnesses, one per
 distinct count.  Every class decision is exact.  Rational points become integer
-triples (X, Y, W), W the lcm of a point's own denominators.  Cyclotomic chords
-are bucketed by slope mod a prime, which parallel chords share, and the exact
-test inside a bucket runs on integers: each point's coefficient vectors,
-scaled by one common denominator, are packed into one int each at x = 2**k
-(Kronecker substitution), and parallelism becomes a zero test modulo
-2**(k*m) - 1 that is exact for k above a bound computed from the points
-(:func:`pair_directions` has the proof).  Where bit lengths put k**2 * phi
-past :data:`_PACKED_BUDGET`, the scan keeps the field test
+triples (X, Y, W), W the lcm of a point's own denominators, and their classes
+stay canonical keys with counts (:func:`_rational_classes`): a Direction is
+built only for a witness or for a class that :func:`pair_directions` returns.
+Cyclotomic chords are bucketed by slope mod a prime, which parallel chords
+share, and the exact test inside a bucket runs on integers: each point's
+coefficient vectors, scaled by one common denominator, are packed into one
+int each at x = 2**k (Kronecker substitution), and parallelism becomes a zero
+test modulo 2**(k*m) - 1 that is exact for k above a bound computed from the
+points (:func:`pair_directions` has the proof).  Where bit lengths put
+k**2 * phi past :data:`_PACKED_BUDGET`, the scan keeps the field test
 (:meth:`Direction.parallel_to`).  No float takes part in classing.
 Distinctness is checked once, in :func:`spectrum` and :func:`stab_spectrum`.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DegenerateInputError, OrderMismatchError
 from .field import CycloElement, cyclotomic_poly, euler_phi, residue, residue_primes
@@ -34,8 +35,10 @@ from .geometry import (
     Direction,
     NonVerticalLine,
     Point,
+    Scalar,
     _canonical,
     _Frozen,
+    cross,
     dual_line_to_point,
     ensure_distinct_lines,
     ensure_distinct_points,
@@ -105,6 +108,33 @@ def _homogeneous(p: Point) -> tuple[int, int, int]:
     """The rational point (X/W, Y/W) as the integers (X, Y, W), W = lcm of its denominators."""
     w = lcm(p.x.denominator, p.y.denominator)
     return p.x.numerator * (w // p.x.denominator), p.y.numerator * (w // p.y.denominator), w
+
+
+def _rational_classes(triples: Sequence[tuple[int, int, int]]) -> dict[tuple[int, int], int]:
+    """Each chord class of the rational points given as :func:`_homogeneous` triples, with its cover count.
+
+    A chord (i, j), i < j, is keyed by its canonical direction
+    (Xj·Wi − Xi·Wj, Yj·Wi − Yi·Wj) in lowest terms, and a class's count is n
+    minus the number of its second ends j (:func:`pair_directions` says
+    why).  Most classes of a random set hold one chord, so a key maps to its
+    first second end as a plain int, and to a set only once a chord with
+    another second end arrives.  Classes come in the order of their first
+    chords.
+    """
+    n = len(triples)
+    seconds: dict[tuple[int, int], int | set[int]] = {}
+    for i, (xi, yi, wi) in enumerate(triples):
+        for j in range(i + 1, n):
+            xj, yj, wj = triples[j]
+            key = _canonical(xj * wi - xi * wj, yj * wi - yi * wj)
+            js = seconds.setdefault(key, j)
+            if type(js) is set:
+                js.add(j)
+            elif js != j:
+                seconds[key] = {js, j}
+    for key, js in seconds.items():  # in place: a second dict would double the peak
+        seconds[key] = n - (len(js) if type(js) is set else 1)
+    return seconds
 
 
 _PACKED_BUDGET = 350_000
@@ -190,13 +220,11 @@ def pair_directions(points: Sequence[Point]) -> list[tuple[Direction, int]]:
 
     The domain is chosen once per call, and one scan over the pairs (i, j),
     i < j, in index order represents each class by its first chord.  For
-    rational points a chord is keyed by its canonical direction
-    (Xj·Wi − Xi·Wj, Yj·Wi − Yi·Wj) in lowest terms (:func:`_homogeneous`); one
-    dict maps each key to its class's second ends, and a class's Direction is
-    built once, from its key.  Otherwise chords are bucketed by slope mod a
-    prime (:func:`_slope_key`): parallel chords always share a bucket, so the
-    exact test runs only against the classes in the chord's bucket, usually
-    one.
+    rational points the classes and counts are :func:`_rational_classes`',
+    and a class's Direction is built once, from its key.  Otherwise chords
+    are bucketed by slope mod a prime (:func:`_slope_key`): parallel chords
+    always share a bucket, so the exact test runs only against the classes
+    in the chord's bucket, usually one.
 
     That test is on packed integers (:func:`_packed_coordinates`): a chord
     (dx, dy) is parallel to class r iff
@@ -244,13 +272,7 @@ def pair_directions(points: Sequence[Point]) -> list[tuple[Direction, int]]:
     pts = list(points)
     n = len(pts)
     if all(isinstance(p.x, Fraction) for p in pts):
-        triples = [_homogeneous(p) for p in pts]
-        classes: defaultdict[tuple[int, int], set[int]] = defaultdict(set)
-        for i, (xi, yi, wi) in enumerate(triples):
-            for j in range(i + 1, n):
-                xj, yj, wj = triples[j]
-                classes[_canonical(xj * wi - xi * wj, yj * wi - yi * wj)].add(j)
-        return [(Direction._of_canonical(*d), n - len(js)) for d, js in classes.items()]
+        return [(Direction._of_canonical(*d), c) for d, c in _rational_classes(list(map(_homogeneous, pts))).items()]
     slope = _slope_key(pts)
     order = next(p.x.order for p in pts if isinstance(p.x, CycloElement))
     packed = _packed_coordinates(pts, order)
@@ -304,16 +326,22 @@ def pair_directions(points: Sequence[Point]) -> list[tuple[Direction, int]]:
     return [(d, n - len(js)) for d, js in zip(reps, seconds)]
 
 
-def lines_in_direction(points: Sequence[Point], direction: Direction) -> LinePartition:
+def lines_in_direction(
+    points: Sequence[Point], direction: Direction, triples: Optional[Sequence[tuple[int, int, int]]] = None
+) -> LinePartition:
     """The unique minimal parallel cover of the points in the given direction.
 
     Points p, q land on one cover line iff cross(q - p, d) = 0, i.e. iff the
     bilinear key cross(p, d) agrees; grouping by that exact key realizes the
-    equivalence in one pass.  Rational keys are (W, X·b − Y·a) in lowest terms.
+    equivalence in one pass.  Rational keys are (W, X·b − Y·a) in lowest terms,
+    from the points' :func:`_homogeneous` triples, or from ``triples`` when
+    the caller has them already.
     """
     a, b = direction.dx, direction.dy
-    if type(a) is int and all(isinstance(p.x, Fraction) for p in points):  # W > 0, so no sign flip
-        keys: list = [_canonical(w, x * b - y * a) for x, y, w in map(_homogeneous, points)]
+    if triples is None and type(a) is int and all(isinstance(p.x, Fraction) for p in points):
+        triples = list(map(_homogeneous, points))
+    if triples is not None:  # W > 0, so no sign flip
+        keys: list = [_canonical(w, x * b - y * a) for x, y, w in triples]
     else:
         keys = [p.x * b - p.y * a for p in points]
     groups: dict[object, list[Point]] = {}
@@ -322,43 +350,57 @@ def lines_in_direction(points: Sequence[Point], direction: Direction) -> LinePar
     return LinePartition(direction, tuple(tuple(g) for g in groups.values()), False)
 
 
-def generic_direction(chord_dirs: Sequence[Direction]) -> Direction:
-    """A direction parallel to none of the given chord directions.
+def generic_direction(chords: Iterable[tuple[Scalar, Scalar]]) -> Direction:
+    """A direction parallel to none of the given chord directions, each given as its nonzero (dx, dy).
 
-    Tries (1, t) for t = 0, 1, 2, ...; each chord class rules out at most
-    one integer t, so at most len(chord_dirs) + 1 candidates are examined.
-    Rational classes, canonical when built, are parallel to a candidate
-    only when equal to it, so they are looked up in a set; the others are
-    tested exactly.
+    Tries (1, t) for t = 0, 1, 2, ...; each chord rules out at most one
+    integer t, so at most len(chords) + 1 candidates are examined.  An
+    integer chord rules out t = dy / dx when dx divides dy, so those t are
+    collected in one set of ints; the others are tested exactly, as
+    cross((1, t), (dx, dy)) = dy - t·dx = 0.
     """
-    rational = {d for d in chord_dirs if not isinstance(d.dx, CycloElement)}
-    others = [d for d in chord_dirs if isinstance(d.dx, CycloElement)]
+    ruled_out: set[int] = set()
+    others = []
+    for dx, dy in chords:
+        if type(dx) is int:
+            if dx and not dy % dx:
+                ruled_out.add(dy // dx)
+        else:
+            others.append((dx, dy))
     t = 0
-    while True:
-        cand = Direction(1, t)
-        if cand not in rational and all(not cand.parallel_to(d) for d in others):
-            return cand
+    while t in ruled_out or any(cross(1, t, dx, dy) == 0 for dx, dy in others):
         t += 1
+    return Direction(1, t)
 
 
 def spectrum(points: Sequence[Point]) -> SpectrumReport:
     """The direction-cover spectrum I(Q) with a witness partition per count.
 
     Each count's witness is the partition of the first chord class that
-    attains it, so only one partition is built per distinct count.
+    attains it, so only one partition is built per distinct count.  Every
+    class has a second end, so no class attains n; its witness is the
+    generic partition.  Rational classes stay keys and counts
+    (:func:`_rational_classes`), and a Direction is built only for a witness.
     """
     pts = list(points)
     if not pts:
         raise DegenerateInputError("empty point set")
     ensure_distinct_points(pts)
-    n = len(pts)
     witnesses: dict[int, LinePartition] = {}
-    classes = pair_directions(pts)
-    for d, c in classes:
-        if c not in witnesses:
-            witnesses[c] = lines_in_direction(pts, d)
-    if n not in witnesses:
-        witnesses[n] = LinePartition(generic_direction([d for d, _ in classes]), tuple((p,) for p in pts), True)
+    chords: Iterable[tuple[Scalar, Scalar]]
+    if all(isinstance(p.x, Fraction) for p in pts):
+        triples = list(map(_homogeneous, pts))
+        chords = _rational_classes(triples)
+        for key, c in chords.items():
+            if c not in witnesses:
+                witnesses[c] = lines_in_direction(pts, Direction._of_canonical(*key), triples)
+    else:
+        classes = pair_directions(pts)
+        for d, c in classes:
+            if c not in witnesses:
+                witnesses[c] = lines_in_direction(pts, d)
+        chords = [(d.dx, d.dy) for d, _ in classes]
+    witnesses[len(pts)] = LinePartition(generic_direction(chords), tuple((p,) for p in pts), True)
     return SpectrumReport(witnesses, vertical_class_count(pts))
 
 
@@ -390,5 +432,8 @@ def stab_spectrum(lines: Sequence[NonVerticalLine]) -> frozenset[int]:
         raise DegenerateInputError("empty line family")
     ensure_distinct_lines(fam)
     duals = [dual_line_to_point(line) for line in fam]
-    classes = pair_directions(duals)
-    return frozenset({len(fam)} | {c for d, c in classes if not d.is_vertical})
+    if all(isinstance(p.x, Fraction) for p in duals):  # a canonical key is vertical iff its dx is 0
+        counts = {c for (dx, _), c in _rational_classes(list(map(_homogeneous, duals))).items() if dx}
+    else:
+        counts = {c for d, c in pair_directions(duals) if not d.is_vertical}
+    return frozenset({len(fam)} | counts)

@@ -33,7 +33,11 @@ agreement on sets with distinct 30-digit denominators, mixed integers and
 fractions, vertical and horizontal chords and large negative coordinates
 shows that the integer keys class and partition exactly as it does.  The
 integer brute-force oracle is compared with a copy of its earlier
-``Fraction`` form, kept here only.
+``Fraction`` form, kept here only.  The rational classing kernel's keys and
+counts must match ``pair_directions``, the two-pass reference and the
+oracle, and ``generic_direction``, which now takes (dx, dy) pairs, must pick
+what its earlier form, a set of ``Direction`` objects kept here, picks, on
+these corpora and on mixed rational and cyclotomic lists.
 
 The certificate references are the earlier O(n^2) slope scans of
 ``verify`` (its parallel witness) and of ``concurrent_family``; the
@@ -84,10 +88,18 @@ from dircover.geometry import (
     dual_point_to_line,
     ensure_distinct_lines,
 )
-from dircover.oracle import oracle_spectrum
+from dircover.oracle import MAX_ORACLE_POINTS, oracle_spectrum
 from dircover.polygon import PolygonConfig, RationalRotation, choose_rotation, instantiate_polygon
 from dircover.randgen import random_invertible_map, random_point_set
-from dircover.spectrum import LinePartition, pair_directions, spectrum, stab_spectrum
+from dircover.spectrum import (
+    LinePartition,
+    _homogeneous,
+    _rational_classes,
+    generic_direction,
+    pair_directions,
+    spectrum,
+    stab_spectrum,
+)
 
 
 def two_pass_directions(pts):
@@ -255,16 +267,76 @@ def count_directions_built(monkeypatch):
     return built
 
 
+def lattice12():
+    pts = [Point(x, y) for x in range(12) for y in range(12)]
+    random.Random(12).shuffle(pts)
+    return pts
+
+
 @pytest.mark.parametrize("which", ["lattice12", "random70"])
 def test_one_direction_built_per_rational_class(which, monkeypatch):
-    if which == "lattice12":
-        pts = [Point(x, y) for x in range(12) for y in range(12)]
-        random.Random(12).shuffle(pts)
-    else:
-        pts = random_point_set(random.Random(70), 70, 50)
+    pts = lattice12() if which == "lattice12" else random_point_set(random.Random(70), 70, 50)
     built = count_directions_built(monkeypatch)
     classes = pair_directions(pts)
     assert 0 < built[0] <= len(classes) < len(pts) * (len(pts) - 1) // 2
+    built[0] = 0
+    rep = spectrum(pts)
+    assert built[0] == len(rep.witnesses)  # one per witness, the generic one included
+
+
+def set_generic_direction(chord_dirs):
+    """generic_direction as it was: rational Directions looked up in a set, the others tested exactly."""
+    rational = {d for d in chord_dirs if not isinstance(d.dx, CycloElement)}
+    others = [d for d in chord_dirs if isinstance(d.dx, CycloElement)]
+    t = 0
+    while True:
+        cand = Direction(1, t)
+        if cand not in rational and all(not cand.parallel_to(d) for d in others):
+            return cand
+        t += 1
+
+
+RATIONAL_CORPORA = (
+    random_sets()
+    + rational_corpora()
+    + [pytest.param(LATTICE, id="lattice8"), pytest.param(lattice12(), id="lattice12")]
+)
+
+
+@pytest.mark.parametrize("pts", RATIONAL_CORPORA)
+def test_rational_kernel_counts_every_class(pts):
+    # the kernel's keys and counts, in order, against pair_directions, the two-pass reference and the oracle
+    classes = _rational_classes([_homogeneous(p) for p in pts])
+    assert list(classes.items()) == [((d.dx, d.dy), c) for d, c in pair_directions(pts)]
+    dirs = two_pass_directions(pts)
+    assert list(classes.items()) == [((d.dx, d.dy), len(two_pass_partition(pts, d).groups)) for d in dirs]
+    if len(pts) <= MAX_ORACLE_POINTS:
+        assert {len(pts), *classes.values()} == oracle_spectrum(pts)
+    assert generic_direction(classes) == set_generic_direction(dirs)
+
+
+def mixed_direction_lists():
+    """Rational and cyclotomic Directions in one list, some cyclotomic ones parallel to a (1, t)."""
+    z = zeta(12)
+    ruled = [Direction(1, t) for t in range(4)] + [Direction(z, 4 * z), Direction(z + 2, 5 * z + 10)]
+    gapped = [Direction(2, 3), Direction(-1, 5), Direction(z, -z)] + [Direction(1, t) for t in (0, 1, 3)]
+    embedded = [Direction(CycloElement.from_rational(12, 1), CycloElement.from_rational(12, t)) for t in range(3)]
+    polygon12 = [d for d, _ in pair_directions(polygon(12))] + [Direction(1, t) for t in range(-3, 3)]
+    lattice_and_polygon = [d for d, _ in pair_directions(lattice12()) + pair_directions(polygon(12, True))]
+    return [
+        pytest.param(ruled, id="ruled"),
+        pytest.param(gapped, id="gapped"),
+        pytest.param(embedded + [Direction(1, 3)], id="embedded"),
+        pytest.param(polygon12, id="polygon12"),
+        pytest.param(lattice_and_polygon, id="lattice12-polygon12c"),
+    ]
+
+
+@pytest.mark.parametrize("dirs", mixed_direction_lists())
+def test_generic_direction_agrees_on_mixed_lists(dirs):
+    cand = generic_direction([(d.dx, d.dy) for d in dirs])
+    assert cand == set_generic_direction(dirs)
+    assert not any(cand.parallel_to(d) for d in dirs)
 
 
 def fraction_det3(ax, ay, bx, by, cx, cy):

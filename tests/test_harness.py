@@ -2,11 +2,16 @@
 
 import ast
 import inspect
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import dircover
 from dircover import checks
 from dircover.checks import SUITES, affine_check, duality_check, oracle_check, pinchasi_check
 from dircover.cli import build_parser
@@ -15,7 +20,7 @@ from dircover.field import zeta
 from dircover.geometry import Point, collinear
 from dircover.oracle import oracle_spectrum
 from dircover.randgen import random_invertible_map, random_point_set, random_rational
-from dircover.spectrum import pair_directions, spectrum
+from dircover.spectrum import spectrum
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -65,6 +70,31 @@ class TestRandGen:
             q = random_rational(rng, 10)
             assert abs(q.numerator) <= 10 * q.denominator <= 100
 
+    @pytest.mark.parametrize("bound", [1, 2, 3, 50, 31, 32, 33, 2**64 - 1, 2**64, 2**64 + 1, 10**30])
+    def test_draws_replay_randint(self, bound):
+        # random_rational draws through getrandbits as randint does: same numbers, same state after
+        for seed in range(200):
+            mine, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                assert random_rational(mine, bound) == Fraction(theirs.randint(-bound, bound), theirs.randint(1, bound))
+            assert mine.getstate() == theirs.getstate()
+
+    def test_bound_below_one_raises_at_once(self):
+        # getrandbits(0) is 0, so a draw below a width of 0 would never end; run it where a hang times out
+        code = (
+            "import random\n"
+            "from dircover.randgen import random_rational\n"
+            "for bound in (0, -1, -2, -50, -(2**70)):\n"
+            "    try:\n"
+            "        random_rational(random.Random(bound), bound)\n"
+            "    except ValueError:\n"
+            "        continue\n"
+            "    raise SystemExit(f'no ValueError at bound {bound}')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(dircover.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30)
+        assert done.returncode == 0, done.stderr
+
     def test_random_map_is_invertible(self):
         rng = random.Random(3)
         for _ in range(20):
@@ -101,17 +131,19 @@ class TestCheckSuites:
         assert seen == {True, False}
 
     def test_pinchasi_counts_are_the_spectrum_counts(self, monkeypatch):
-        # the suite reads I(Q) from pair_directions; every set it draws must give spectrum's counts
+        # the suite reads I(Q) from the rational classing kernel; every set it draws must give spectrum's counts
         drawn = 0
+        kernel = checks._rational_classes
 
-        def compared(pts):
+        def compared(triples):
             nonlocal drawn
             drawn += 1
-            classes = pair_directions(pts)
-            assert {len(pts)} | {c for _, c in classes} == spectrum(pts).counts, pts
+            classes = kernel(triples)
+            pts = [Point(Fraction(x, w), Fraction(y, w)) for x, y, w in triples]
+            assert {len(pts)} | set(classes.values()) == spectrum(pts).counts, pts
             return classes
 
-        monkeypatch.setattr(checks, "pair_directions", compared)
+        monkeypatch.setattr(checks, "_rational_classes", compared)
         for seed in (3, 42):
             rep = pinchasi_check(seed)
             assert rep.passed == 1000 and rep.ok
