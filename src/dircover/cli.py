@@ -37,6 +37,8 @@ def _read_text(path: str) -> str:
             return fp.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
 def _write_text(path: str, text: str) -> None:

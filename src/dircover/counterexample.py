@@ -267,13 +267,18 @@ def read_bundle(path) -> CounterexampleBundle:
     coefficient vector are checked before any field arithmetic, so a crafted
     or oversized document is rejected in linear time.
     """
-    with open(path, "r", encoding="utf-8") as fp:
-        try:  # a JSON integer literal passes parse_rational's digit-limit check before int() runs
-            doc = json.load(fp, parse_int=lambda literal: _parse_ratio(literal)[0])
-        except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
-            raise ParseError(f"{path}: invalid JSON ({exc})") from None
-        except ParseError as exc:
-            raise ParseError(f"{path}: {exc}") from None
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            try:  # a JSON integer literal passes parse_rational's digit-limit check before int() runs
+                doc = json.load(fp, parse_int=lambda literal: _parse_ratio(literal)[0])
+            except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
+                raise ParseError(f"{path}: invalid JSON ({exc})") from None
+            except ParseError as exc:
+                raise ParseError(f"{path}: {exc}") from None
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    if type(doc) is not dict:
+        raise ParseError(f"{path}: malformed bundle document (a bundle is a JSON object)")
 
     def ratio(token, where: str) -> tuple[int, int]:
         if token == "0":  # most coefficients

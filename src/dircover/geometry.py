@@ -204,8 +204,10 @@ def incident(p: Point, line: NonVerticalLine) -> bool:
     """
     x, y, a, b = p.x, p.y, line.a, line.b
     if type(x) is type(y) is type(a) is type(b) is Fraction:
-        xd, yd, ad, bd = x.denominator, y.denominator, a.denominator, b.denominator
-        return xd * ad * (y.numerator * bd + b.numerator * yd) + a.numerator * x.numerator * yd * bd == 0
+        (xn, xd), (yn, yd), (an, ad), (bn, bd) = (
+            x.as_integer_ratio(), y.as_integer_ratio(), a.as_integer_ratio(), b.as_integer_ratio()
+        )
+        return xd * ad * (yn * bd + bn * yd) + an * xn * yd * bd == 0
     return y + a * x + b == 0
 
 

@@ -1,7 +1,7 @@
 """Brute-force spectrum oracle, kept independent of the production engine.
 
 It scales its points to integers by their common denominator, then re-derives
-each ordered vertex pair's cover partition from scratch, assigning each point
+each unordered vertex pair's cover partition from scratch, assigning each point
 to the first compatible anchor by a 3x3 affine-determinant collinearity test.
 No code is shared with :mod:`dircover.spectrum`; rational only, <= 10 points.
 """
@@ -32,19 +32,18 @@ def oracle_spectrum(points: Sequence[Point]) -> frozenset[int]:
     for p in pts:
         if not (isinstance(p.x, Fraction) and isinstance(p.y, Fraction)):
             raise DegenerateInputError("oracle handles rational coordinates only")
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if pts[i] == pts[j]:
-                raise DegenerateInputError(f"duplicate point at positions {i} and {j}")
-    scale = lcm(*(c.denominator for p in pts for c in (p.x, p.y)))
-    xy = [(int(p.x * scale), int(p.y * scale)) for p in pts]  # exact: scale clears every denominator
+    keys = [(p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator) for p in pts]
+    if len(set(keys)) < len(keys):
+        i = next(i for i, key in enumerate(keys) if keys.count(key) > 1)
+        raise DegenerateInputError(f"duplicate point at positions {i} and {keys.index(keys[i], i + 1)}")
+    scale = lcm(*(d for _, xd, _, yd in keys for d in (xd, yd)))
+    xy = [(xn * (scale // xd), yn * (scale // yd)) for xn, xd, yn, yd in keys]
     counts = {len(pts)}
-    for i in range(len(pts)):
-        for j in range(len(pts)):
-            if i == j:
-                continue
-            vx = xy[j][0] - xy[i][0]
-            vy = xy[j][1] - xy[i][1]
+    # _det3 is linear in v, so v and -v group the points identically: one chord per unordered pair
+    for i, (ix, iy) in enumerate(xy):
+        for jx, jy in xy[i + 1:]:
+            vx = jx - ix
+            vy = jy - iy
             anchors: list[tuple[int, int]] = []
             for px, py in xy:
                 for qx, qy in anchors:

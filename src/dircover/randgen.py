@@ -4,8 +4,20 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from .geometry import AffineMap, Point
+
+_FRACTION_CACHE_SIZE = 8192
+"""How many drawn (numerator, denominator) pairs keep their Fraction.
+
+A draw at bound b is one of (2b + 1) * b pairs, 5,050 at the CLI's default
+bound of 50, so a check run there builds each Fraction once; at larger
+bounds the least recently drawn pair is evicted.  Fractions are immutable,
+so the draws may share them.
+"""
+
+_fraction = lru_cache(maxsize=_FRACTION_CACHE_SIZE)(Fraction)
 
 
 def _below(getrandbits, n: int) -> int:
@@ -23,12 +35,13 @@ def random_rational(rng: random.Random, bound: int) -> Fraction:
     Both draws replay ``randint``'s own (randint -> randrange -> one
     ``getrandbits(n.bit_length())`` per try until below the range's width n),
     so the numbers and the generator's state afterwards are exactly
-    ``randint``'s, without its per-call argument checks.
+    ``randint``'s, without its per-call argument checks.  The Fraction is
+    shared with earlier draws of the same pair (:data:`_FRACTION_CACHE_SIZE`).
     """
     if bound < 1:
         raise ValueError(f"coordinate bound must be at least 1, got {bound}")
     getrandbits = rng.getrandbits
-    return Fraction(_below(getrandbits, 2 * bound + 1) - bound, _below(getrandbits, bound) + 1)
+    return _fraction(_below(getrandbits, 2 * bound + 1) - bound, _below(getrandbits, bound) + 1)
 
 
 def random_point(rng: random.Random, bound: int) -> Point:

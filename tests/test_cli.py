@@ -290,6 +290,34 @@ def test_huge_bundle_is_refused_in_bounded_time(tmp_path):
     assert done.stderr == f"error: {path}: verify supports n <= 300, got 301\n"
 
 
+@pytest.mark.parametrize("argv", [["spectrum"], ["stab"], ["dualize", "points"]], ids=["spectrum", "stab", "dualize"])
+def test_non_utf8_file_is_named(tmp_path, argv):
+    import dircover
+
+    path = tmp_path / "latin1.pts"
+    path.write_bytes(b"0 0\n1 \xff\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(dircover.__file__).parents[1])}
+    argv = [sys.executable, "-m", "dircover.cli", *argv, str(path)]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=30)
+    assert done.returncode == 2
+    assert done.stderr == f"error: cannot read {path}: not UTF-8 text (byte 6: invalid start byte)\n"
+
+
+@pytest.mark.parametrize("case", ["directory", "missing", "[]", "null", "3"])
+def test_verify_reports_unreadable_bundles(tmp_path, capsys, case):
+    path = tmp_path / "b.json"
+    if case == "directory":
+        path.mkdir()
+        message = f"cannot read {path}: Is a directory"
+    elif case == "missing":
+        message = f"cannot read {path}: No such file or directory"
+    else:
+        path.write_text(case)
+        message = f"{path}: malformed bundle document (a bundle is a JSON object)"
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestCheckCommand:
     def test_duality_suite(self, capsys):
         assert main(["check", "duality", "--trials", "200", "--seed", "1"]) == 0

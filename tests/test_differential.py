@@ -344,7 +344,7 @@ def fraction_det3(ax, ay, bx, by, cx, cy):
 
 
 def fraction_oracle(pts):
-    """The brute-force oracle as it was on Fractions, before its integer scaling."""
+    """The brute-force oracle as it was on Fractions, before its integer scaling; ordered pairs."""
     counts = {len(pts)}
     for i in range(len(pts)):
         for j in range(len(pts)):
@@ -367,7 +367,23 @@ def fraction_oracle(pts):
 def test_integer_oracle_agrees_with_fraction_oracle(bound):
     rng = random.Random(bound)
     for _ in range(50):
-        pts = random_point_set(rng, rng.randint(1, 10), bound)
+        pts = random_point_set(rng, rng.randint(1, MAX_ORACLE_POINTS), bound)
+        assert oracle_spectrum(pts) == fraction_oracle(pts)
+
+
+def lattice_subsets(side):
+    """Subsets of the side x side lattice of points (i/3, j/2): all of them, or 150 seeded ones past the oracle's cap."""
+    grid = [Point(Fraction(i, 3), Fraction(j, 2)) for i in range(side) for j in range(side)]
+    if len(grid) <= MAX_ORACLE_POINTS:
+        return [[p for k, p in enumerate(grid) if mask >> k & 1] for mask in range(1, 1 << len(grid))]
+    rng = random.Random(side)
+    return [rng.sample(grid, rng.randint(1, MAX_ORACLE_POINTS)) for _ in range(150)]
+
+
+@pytest.mark.parametrize("side", [3, 4])
+def test_unordered_oracle_agrees_on_lattice_subsets(side):
+    # Lattice chords are parallel in bulk, so each class is met from both ends (v and -v) many times.
+    for pts in lattice_subsets(side):
         assert oracle_spectrum(pts) == fraction_oracle(pts)
 
 

@@ -7,12 +7,13 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 import dircover
-from dircover import checks
+from dircover import checks, randgen
 from dircover.checks import SUITES, affine_check, duality_check, oracle_check, pinchasi_check
 from dircover.cli import build_parser
 from dircover.errors import DegenerateInputError
@@ -53,6 +54,13 @@ class TestOracle:
         with pytest.raises(DegenerateInputError):
             oracle_spectrum([])
 
+    def test_duplicate_names_the_first_pair(self):
+        # the first position that repeats, and where it first repeats; Fraction(2, 4) is 1/2
+        a, b = Point(Fraction(1, 2), 3), Point(0, 0)
+        pts = [a, b, Point(0, 0), Point(Fraction(2, 4), 3), b]
+        with pytest.raises(DegenerateInputError, match=r"^duplicate point at positions 0 and 3$"):
+            oracle_spectrum(pts)
+
 
 class TestRandGen:
     def test_deterministic_generation(self):
@@ -72,12 +80,35 @@ class TestRandGen:
 
     @pytest.mark.parametrize("bound", [1, 2, 3, 50, 31, 32, 33, 2**64 - 1, 2**64, 2**64 + 1, 10**30])
     def test_draws_replay_randint(self, bound):
-        # random_rational draws through getrandbits as randint does: same numbers, same state after
+        # random_rational draws through getrandbits as randint does: same numbers, same state after,
+        # also once more distinct pairs than its Fraction cache holds have been drawn, so it evicts
+        info = randgen._fraction.cache_info
+        mine, theirs = random.Random(bound), random.Random(bound)
+        misses = info().misses
+        for _ in range(randgen._FRACTION_CACHE_SIZE + 100):
+            assert random_rational(mine, 10**9) == Fraction(theirs.randint(-(10**9), 10**9), theirs.randint(1, 10**9))
+            assert info().currsize <= info().maxsize
+        assert info().misses - misses > info().maxsize
+        assert mine.getstate() == theirs.getstate()
         for seed in range(200):
             mine, theirs = random.Random(seed), random.Random(seed)
             for _ in range(5):
                 assert random_rational(mine, bound) == Fraction(theirs.randint(-bound, bound), theirs.randint(1, bound))
+                assert info().currsize <= info().maxsize
             assert mine.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("bound", [1, 50, 51, 10**30])
+    def test_cached_draws_are_in_lowest_terms(self, bound):
+        # a second run of the same seed is served from the cache: the same instances, still reduced
+        def draws():
+            rng = random.Random(bound)
+            return [random_rational(rng, bound) for _ in range(1000)]
+
+        first, again = draws(), draws()
+        assert all(q is r for q, r in zip(first, again))
+        for q in first:
+            n, d = q.as_integer_ratio()
+            assert d > 0 and gcd(n, d) == 1 and abs(n) <= bound * d
 
     def test_bound_below_one_raises_at_once(self):
         # getrandbits(0) is 0, so a draw below a width of 0 would never end; run it where a hang times out
