@@ -14,7 +14,7 @@ import random
 from .geometry import Point, affine_apply, dual_point_to_line, incident
 from .oracle import MAX_ORACLE_POINTS, oracle_spectrum
 from .randgen import random_invertible_map, random_point, random_point_set, random_rational
-from .spectrum import _homogeneous, _rational_classes, spectrum
+from .spectrum import pair_directions
 
 
 class CheckReport:
@@ -82,8 +82,8 @@ def pinchasi_check(seed: int, trials: int = 1000, bound: int = 50) -> CheckRepor
     draws from random.Random(seed + n).  Collinear draws are skipped (the
     bound presumes non-collinearity) and each size notes how many it skipped.
 
-    I(Q) is read as {n} and the class counts of the rational classing
-    kernel that :func:`spectrum` runs, which for distinct points (as
+    I(Q) is read as {n} and the class counts of
+    :func:`spectrum.pair_directions`, which for distinct points (as
     random_point_set draws them) is exactly ``spectrum(pts).counts``; no
     Direction or witness is built here.
     """
@@ -100,7 +100,7 @@ def pinchasi_check(seed: int, trials: int = 1000, bound: int = 50) -> CheckRepor
             if checked + rejected >= 200 * quota + 1000:
                 raise RuntimeError("collinear rejection rate implausibly high")
             pts = random_point_set(rng, n, bound)
-            counts = {n, *_rational_classes(list(map(_homogeneous, pts))).values()}
+            counts = {n, *pair_directions(pts).values()}
             # three or more points are collinear iff one line covers them all: 1 in I(Q)
             if 1 in counts:
                 rejected += 1
@@ -117,14 +117,19 @@ def pinchasi_check(seed: int, trials: int = 1000, bound: int = 50) -> CheckRepor
 
 
 def affine_check(seed: int, trials: int = 100, size: int = 6, bound: int = 50) -> CheckReport:
-    """Spectra are invariant under random invertible affine maps."""
+    """Spectra are invariant under random invertible affine maps.
+
+    A spectrum is read as {size} and the class counts of
+    :func:`spectrum.pair_directions`, as in :func:`pinchasi_check`; no
+    witness partition is built.
+    """
     rng = random.Random(seed)
     rep = CheckReport("affine")
     for _ in range(trials):
         pts = random_point_set(rng, size, bound)
         amap = random_invertible_map(rng, bound)
         image = affine_apply(amap, pts)
-        if spectrum(pts).counts == spectrum(image).counts:
+        if {size, *pair_directions(pts).values()} == {size, *pair_directions(image).values()}:
             rep.passed += 1
         else:
             rep.fail(f"spectrum changed under {amap} for {pts}")
@@ -133,13 +138,18 @@ def affine_check(seed: int, trials: int = 100, size: int = 6, bound: int = 50) -
 
 
 def oracle_check(seed: int, trials: int = 200, size: int = 6, bound: int = 50) -> CheckReport:
-    """The engine agrees with the independent brute-force oracle on small sets."""
+    """The engine agrees with the independent brute-force oracle on small sets.
+
+    The engine's spectrum is read as {n} and the class counts of
+    :func:`spectrum.pair_directions`, as in :func:`pinchasi_check`; no
+    witness partition is built.
+    """
     rng = random.Random(seed)
     rep = CheckReport("oracle")
     cap = min(size, MAX_ORACLE_POINTS - 2)
     for _ in range(trials):
         pts = random_point_set(rng, rng.randint(2, max(2, cap)), bound)
-        if spectrum(pts).counts == oracle_spectrum(pts):
+        if {len(pts), *pair_directions(pts).values()} == oracle_spectrum(pts):
             rep.passed += 1
         else:
             rep.fail(f"engine vs oracle mismatch for {pts}")

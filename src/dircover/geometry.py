@@ -162,14 +162,6 @@ class Direction(_Frozen):
         _set(self, "dy", dy)
 
     @classmethod
-    def _of_canonical(cls, dx: int, dy: int) -> "Direction":
-        """The direction of a pair already reduced by :func:`_canonical`, not reduced again."""
-        self = object.__new__(cls)
-        _set(self, "dx", dx)
-        _set(self, "dy", dy)
-        return self
-
-    @classmethod
     def between(cls, p: Point, q: Point) -> "Direction":
         """Direction of the segment from p to q."""
         return cls(q.x - p.x, q.y - p.y)

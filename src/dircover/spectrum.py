@@ -7,18 +7,18 @@ finitely many chord directions of Q can yield fewer than |Q| lines, so the
 engine enumerates those and adjoins the generic count |Q| by construction.
 
 One scan over the chords classes them and counts each class's cover lines
-(:func:`pair_directions`); partitions are built only as witnesses, one per
-distinct count.  Every class decision is exact.  Rational points become integer
-triples (X, Y, W), W the lcm of a point's own denominators, and their classes
-stay canonical keys with counts (:func:`_rational_classes`): a Direction is
-built only for a witness or for a class that :func:`pair_directions` returns.
-Cyclotomic chords are bucketed by slope mod a prime, which parallel chords
-share, and the exact test inside a bucket runs on integers: each point's
-coefficient vectors, scaled by one common denominator, are packed into one
-int each at x = 2**k (Kronecker substitution), and parallelism becomes a zero
-test modulo 2**(k*m) - 1 that is exact for k above a bound computed from the
-points (:func:`pair_directions` has the proof).  Where bit lengths put
-k**2 * phi past :data:`_PACKED_BUDGET`, the scan keeps the field test
+(:func:`pair_directions`, the one classing entry point of both domains);
+partitions are built only as witnesses, one per distinct count.  Every
+class decision is exact.  Rational points become integer triples (X, Y, W),
+W the lcm of a point's own denominators, and a class is keyed by its
+canonical integer direction (:func:`_rational_classes`).  Cyclotomic chords
+are bucketed by slope mod a prime, which parallel chords share, and the
+exact test inside a bucket runs on integers: each point's coefficient
+vectors, scaled by one common denominator, are packed into one int each at
+x = 2**k (Kronecker substitution), and two chords are parallel iff their
+packed cross product is 0 modulo Phi_m(2**k), for k above a bound computed
+from the points (:func:`pair_directions` has the proof).  Where bit lengths
+put k**2 * phi past :data:`_PACKED_BUDGET`, the scan keeps the field test
 (:meth:`Direction.parallel_to`).  No float takes part in classing.
 Distinctness is checked once, in :func:`spectrum` and :func:`stab_spectrum`.
 """
@@ -140,16 +140,19 @@ def _rational_classes(triples: Sequence[tuple[int, int, int]]) -> dict[tuple[int
 _PACKED_BUDGET = 350_000
 """The most k**2 * phi, k the digit width in bits, at which :func:`pair_directions` packs; more keeps the field test.
 
-A packed test multiplies a k*phi-bit chord by a k*m-bit class form, while a
-field product of sparse polygon coordinates costs about the same at any k,
-so packing wins only while k is small, and the more so the larger phi is.
-On rotated polygons (``RationalRotation.from_parameter(p/q)``, many parallel
-chords, heights growing with q), with k as :func:`_packed_coordinates`
-bounds it from bit lengths, the two scans broke even near k**2 * phi =
-500,000 for m = 24 and 48 (k about 250 and 175), 400,000 for m = 124 (k about
-82) and 360,000 for m = 604 (k about 35); at about twice that, packing was
-1.2 to 1.9 times slower.  Every ``construct(n)`` family, n <= 300, is at most
-304,128 (n = 299: phi = 528, k <= 24).
+A packed test multiplies two k*phi-bit chords and divides by the k*phi-bit
+Phi_m(2**k), while a field product of sparse polygon coordinates costs about
+the same at any k, so packing wins only while k is small, and the more so
+the larger phi is.  On rotated polygons (``RationalRotation.from_parameter(p/q)``,
+many parallel chords, heights growing with q), with the scan forced either
+way, one core of a 2-core VM: at m = 24 the packed scan took 0.44 of the
+field scan's time at k = 208 (k**2 * phi = 346,112) and 0.52 at k = 256
+(524,288); at m = 604 (151 vertices) it took 1.06 to 1.13 times the field
+scan's at k = 30 (270,000), the widest inside the budget that these
+polygons reach, and 1.3 times at k = 37 (410,700).  So one budget for
+every order sits a little past the m = 604 crossover and far below the
+m = 24 one.  Every ``construct(n)`` family, n <= 300, is at most 304,128
+(n = 299: phi = 528, k <= 24).
 """
 
 
@@ -169,7 +172,7 @@ def _cofactor(order: int) -> list[int]:
 
 
 def _packed_coordinates(points: Sequence[Point], order: int) -> Optional[tuple[int, list[int], list[int], int]]:
-    """(k, xs, ys, Q(2**k)): every coordinate packed at x = 2**k, or None past :data:`_PACKED_BUDGET`.
+    """(k, xs, ys, Phi_m(2**k)): every coordinate packed at x = 2**k, or None past :data:`_PACKED_BUDGET`.
 
     Each coordinate, lifted to Q(zeta_m) with m = order and phi = phi(m), is
     scaled by the common denominator D of all of them to an integer vector
@@ -212,43 +215,46 @@ def _packed_coordinates(points: Sequence[Point], order: int) -> Optional[tuple[i
         return sum(v << (k * e) for e, v in enumerate(vec) if v)
 
     packed = [pack(v) for v in scaled]
-    return k, packed[0::2], packed[1::2], pack(cofactor)
+    return k, packed[0::2], packed[1::2], pack(cyclotomic_poly(order))
 
 
-def pair_directions(points: Sequence[Point]) -> list[tuple[Direction, int]]:
-    """Each parallelism class of chord directions, with its cover count.
+def pair_directions(points: Sequence[Point]) -> dict[tuple, int]:
+    """Each parallelism class of chord directions, keyed by a direction of the class, with its cover count.
 
-    The domain is chosen once per call, and one scan over the pairs (i, j),
-    i < j, in index order represents each class by its first chord.  For
-    rational points the classes and counts are :func:`_rational_classes`',
-    and a class's Direction is built once, from its key.  Otherwise chords
-    are bucketed by slope mod a prime (:func:`_slope_key`): parallel chords
-    always share a bucket, so the exact test runs only against the classes
-    in the chord's bucket, usually one.
+    This is the one classing entry point of both domains.  One scan over the
+    pairs (i, j), i < j, in index order represents each class by its first
+    chord, and the classes come in that order.  For rational points the keys
+    and counts are :func:`_rational_classes`', so a key is the class's
+    canonical integer direction.  Otherwise a key is the (dx, dy) of the
+    class's first chord as its :class:`Direction` holds them, so
+    ``Direction(dx, dy)`` rebuilds that Direction; keys of two classes are
+    never parallel, so never equal.  Cyclotomic chords are bucketed by slope
+    mod a prime (:func:`_slope_key`): parallel chords always share a bucket,
+    so the exact test runs only against the classes in the chord's bucket,
+    usually one.
 
     That test is on packed integers (:func:`_packed_coordinates`): a chord
-    (dx, dy) is parallel to class r iff
-    dx * A_r - dy * B_r = 0 mod M = 2**(k*m) - 1, with A_r = dy_r * Q(2**k)
-    mod M and B_r = dx_r * Q(2**k) mod M from the class's first chord.  A
-    class computes A_r and B_r only when a second chord meets it in a bucket,
-    and the residue is found by folding: v -> (v & M) + (v >> k*m) until
-    v <= M, and then v is 0 or M.  The first chord each class absorbs is also
-    tested in the field (:meth:`Direction.parallel_to`), and a disagreement
-    raises ArithmeticError.  Past :data:`_PACKED_BUDGET`, every
-    chord is tested in the field instead, as a Direction against each class
-    in its bucket.
+    (dx, dy) is parallel to class r iff dx * ry - dy * rx = 0 mod
+    N = Phi_m(2**k), with (rx, ry) the class's first chord.  The first chord
+    each class absorbs is also tested in the field
+    (:meth:`Direction.parallel_to`), and a disagreement raises
+    ArithmeticError.  Past :data:`_PACKED_BUDGET`, every chord is tested in
+    the field instead, as a Direction against each class in its bucket.
 
-    Exactness.  Chords (dx1, dy1) and (dx2, dy2) are parallel iff
-    X = dx1*dy2 - dy1*dx2, of degree at most 2*phi - 2, vanishes at zeta_m,
-    iff Phi_m | X (Phi_m is the minimal polynomial of zeta_m), iff
-    (x**m - 1) | X*Q with Q = (x**m - 1) / Phi_m, iff F = 0, where F is X*Q
-    with exponents folded mod m (degree below m).  With M = 2**(k*m) - 1,
-    2**(k*m) = 1 mod M, so X(2**k) * Q(2**k) = F(2**k) mod M.  If every
-    coefficient of F is smaller than 2**k - 1 in size, then
-    |F(2**k)| <= (2**k - 2) * M / (2**k - 1) < M, so F(2**k) = 0 mod M forces
-    F(2**k) = 0, and then F = 0: its lowest nonzero coefficient would be a
-    multiple of 2**k.  (The bound is sharp: (2**k - 1)(1 + x + ... + x**(m-1))
-    packs to M.)
+    Exactness.  Chords (dx1, dy1) and (dx2, dy2), as scaled integer
+    coefficient vectors, are parallel iff X = dx1*dy2 - dy1*dx2, of degree
+    at most 2*phi - 2, vanishes at zeta_m.  Packing is a ring homomorphism,
+    so the packed cross product is X(2**k).  If X(zeta_m) = 0, then the
+    monic minimal polynomial Phi_m of zeta_m divides X in Z[x], so N divides
+    X(2**k), for every k.  Conversely, let Q = (x**m - 1) / Phi_m and
+    M = 2**(k*m) - 1 = N * Q(2**k).  If N | X(2**k), then M | X(2**k) * Q(2**k),
+    which is F(2**k) mod M, where F is X*Q with exponents folded mod m
+    (degree below m), as 2**(k*m) = 1 mod M.  If every coefficient of F is
+    smaller than 2**k - 1 in size, then
+    |F(2**k)| <= (2**k - 2) * M / (2**k - 1) < M, so F(2**k) = 0, and then
+    F = 0: its lowest nonzero coefficient would be a multiple of 2**k.  So
+    x**m - 1 = Phi_m * Q divides X*Q, Phi_m divides X, and X(zeta_m) = 0.
+    (The bound is sharp: (2**k - 1)(1 + x + ... + x**(m-1)) packs to M.)
 
     Bound.  Let Hx and Hy be the largest spread (max - min over the points)
     of one coefficient of the scaled x or y coordinates
@@ -272,7 +278,7 @@ def pair_directions(points: Sequence[Point]) -> list[tuple[Direction, int]]:
     pts = list(points)
     n = len(pts)
     if all(isinstance(p.x, Fraction) for p in pts):
-        return [(Direction._of_canonical(*d), c) for d, c in _rational_classes(list(map(_homogeneous, pts))).items()]
+        return _rational_classes(list(map(_homogeneous, pts)))
     slope = _slope_key(pts)
     order = next(p.x.order for p in pts if isinstance(p.x, CycloElement))
     packed = _packed_coordinates(pts, order)
@@ -284,46 +290,36 @@ def pair_directions(points: Sequence[Point]) -> list[tuple[Direction, int]]:
             for j in range(i + 1, n):
                 d = Direction.between(pts[i], pts[j])
                 bucket = buckets.setdefault(slope(i, j), [])
-                k = next((m for m in bucket if d.parallel_to(reps[m])), len(reps))
-                if k == len(reps):
-                    bucket.append(k)
+                r = next((r for r in bucket if d.parallel_to(reps[r])), len(reps))
+                if r == len(reps):
+                    bucket.append(r)
                     reps.append(d)
                     seconds.append(set())
-                seconds[k].add(j)
-        return [(d, n - len(js)) for d, js in zip(reps, seconds)]
-    k, xs, ys, q = packed
-    width = k * order
-    mod = (1 << width) - 1
-    firsts: list[tuple[int, int]] = []  # each class's first chord, packed
-    forms: list[Optional[tuple[int, int]]] = []  # its (A_r, B_r), once a second chord meets it
-    checked: set[int] = set()
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        for j in range(i + 1, n):
-            dx, dy = xs[j] - xi, ys[j] - yi
-            bucket = buckets.setdefault(slope(i, j), [])
-            for r in bucket:
-                form = forms[r]
-                if form is None:
+                seconds[r].add(j)
+    else:
+        k, xs, ys, modulus = packed
+        firsts: list[tuple[int, int]] = []  # each class's first chord, packed
+        checked: set[int] = set()
+        for i, (xi, yi) in enumerate(zip(xs, ys)):
+            for j in range(i + 1, n):
+                dx, dy = xs[j] - xi, ys[j] - yi
+                bucket = buckets.setdefault(slope(i, j), [])
+                for r in bucket:
                     rx, ry = firsts[r]
-                    form = forms[r] = (ry * q % mod, rx * q % mod)
-                v = abs(dx * form[0] - dy * form[1])
-                while v > mod:
-                    v = (v & mod) + (v >> width)
-                if v == 0 or v == mod:
-                    if r not in checked:
-                        checked.add(r)
-                        if not Direction.between(pts[i], pts[j]).parallel_to(reps[r]):
-                            raise ArithmeticError(f"packed parallel test at k = {k} disagrees with the field")
-                    break
-            else:
-                r = len(reps)
-                bucket.append(r)
-                reps.append(Direction.between(pts[i], pts[j]))
-                firsts.append((dx, dy))
-                forms.append(None)
-                seconds.append(set())
-            seconds[r].add(j)
-    return [(d, n - len(js)) for d, js in zip(reps, seconds)]
+                    if (dx * ry - dy * rx) % modulus == 0:
+                        if r not in checked:
+                            checked.add(r)
+                            if not Direction.between(pts[i], pts[j]).parallel_to(reps[r]):
+                                raise ArithmeticError(f"packed parallel test at k = {k} disagrees with the field")
+                        break
+                else:
+                    r = len(reps)
+                    bucket.append(r)
+                    reps.append(Direction.between(pts[i], pts[j]))
+                    firsts.append((dx, dy))
+                    seconds.append(set())
+                seconds[r].add(j)
+    return {(d.dx, d.dy): n - len(js) for d, js in zip(reps, seconds)}
 
 
 def lines_in_direction(
@@ -333,13 +329,11 @@ def lines_in_direction(
 
     Points p, q land on one cover line iff cross(q - p, d) = 0, i.e. iff the
     bilinear key cross(p, d) agrees; grouping by that exact key realizes the
-    equivalence in one pass.  Rational keys are (W, X·b − Y·a) in lowest terms,
-    from the points' :func:`_homogeneous` triples, or from ``triples`` when
-    the caller has them already.
+    equivalence in one pass.  When the caller passes the rational points'
+    :func:`_homogeneous` triples (and an integer direction), the keys are
+    (W, X·b − Y·a) in lowest terms; otherwise they are the scalars themselves.
     """
     a, b = direction.dx, direction.dy
-    if triples is None and type(a) is int and all(isinstance(p.x, Fraction) for p in points):
-        triples = list(map(_homogeneous, points))
     if triples is not None:  # W > 0, so no sign flip
         keys: list = [_canonical(w, x * b - y * a) for x, y, w in triples]
     else:
@@ -377,30 +371,21 @@ def spectrum(points: Sequence[Point]) -> SpectrumReport:
     """The direction-cover spectrum I(Q) with a witness partition per count.
 
     Each count's witness is the partition of the first chord class that
-    attains it, so only one partition is built per distinct count.  Every
-    class has a second end, so no class attains n; its witness is the
-    generic partition.  Rational classes stay keys and counts
-    (:func:`_rational_classes`), and a Direction is built only for a witness.
+    attains it, so only one partition is built per distinct count, and a
+    Direction only for a witness.  Every class has a second end, so no class
+    attains n; its witness is the generic partition.
     """
     pts = list(points)
     if not pts:
         raise DegenerateInputError("empty point set")
     ensure_distinct_points(pts)
+    classes = pair_directions(pts)
+    triples = list(map(_homogeneous, pts)) if all(isinstance(p.x, Fraction) for p in pts) else None
     witnesses: dict[int, LinePartition] = {}
-    chords: Iterable[tuple[Scalar, Scalar]]
-    if all(isinstance(p.x, Fraction) for p in pts):
-        triples = list(map(_homogeneous, pts))
-        chords = _rational_classes(triples)
-        for key, c in chords.items():
-            if c not in witnesses:
-                witnesses[c] = lines_in_direction(pts, Direction._of_canonical(*key), triples)
-    else:
-        classes = pair_directions(pts)
-        for d, c in classes:
-            if c not in witnesses:
-                witnesses[c] = lines_in_direction(pts, d)
-        chords = [(d.dx, d.dy) for d, _ in classes]
-    witnesses[len(pts)] = LinePartition(generic_direction(chords), tuple((p,) for p in pts), True)
+    for (dx, dy), c in classes.items():
+        if c not in witnesses:
+            witnesses[c] = lines_in_direction(pts, Direction(dx, dy), triples)
+    witnesses[len(pts)] = LinePartition(generic_direction(classes), tuple((p,) for p in pts), True)
     return SpectrumReport(witnesses, vertical_class_count(pts))
 
 
@@ -432,8 +417,4 @@ def stab_spectrum(lines: Sequence[NonVerticalLine]) -> frozenset[int]:
         raise DegenerateInputError("empty line family")
     ensure_distinct_lines(fam)
     duals = [dual_line_to_point(line) for line in fam]
-    if all(isinstance(p.x, Fraction) for p in duals):  # a canonical key is vertical iff its dx is 0
-        counts = {c for (dx, _), c in _rational_classes(list(map(_homogeneous, duals))).items() if dx}
-    else:
-        counts = {c for d, c in pair_directions(duals) if not d.is_vertical}
-    return frozenset({len(fam)} | counts)
+    return frozenset({len(fam)} | {c for (dx, _), c in pair_directions(duals).items() if dx != 0})

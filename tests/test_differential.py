@@ -21,10 +21,11 @@ keeps the field test (``Direction.parallel_to``) only for points whose
 coefficients pass its gate.  Both paths, forced past the gate either way,
 must give the same classes on every corpus of this module, the rational
 ones embedded in a cyclotomic field; random chord pairs of small polygons,
-all in one bucket, must agree too, and the folded cross product that the
-packed test reduces must stay inside the width it was packed at.  Hostile
-bundles, a 32-digit rotation and 30-digit noise, take the field path and
-verify within seconds.
+all in one bucket, must agree too.  On such pairs the folded cross product
+F that the exactness proof bounds must stay inside the width the points
+were packed at, and vanish exactly when the packed remainder modulo
+Phi_m(2**k) does.  Hostile bundles, a 32-digit rotation and 30-digit
+noise, take the field path and verify within seconds.
 
 Rational input runs on integer triples (X, Y, W), one per point.  The
 two-pass reference keeps the earlier ``Fraction`` arithmetic (chord
@@ -190,8 +191,8 @@ def assert_agrees_with_reference(pts):
     """Every chord class and its count, spectrum, witnesses, vertical count and the dual stab spectrum."""
     dirs = two_pass_directions(pts)
     classes = pair_directions(pts)
-    assert [d for d, _ in classes] == dirs
-    assert [c for _, c in classes] == [len(two_pass_partition(pts, d).groups) for d in dirs]
+    assert [Direction(dx, dy) for dx, dy in classes] == dirs
+    assert list(classes.values()) == [len(two_pass_partition(pts, d).groups) for d in dirs]
     witnesses, vertical = two_pass_spectrum(pts, dirs)
     rep = spectrum(pts)
     assert rep.counts == frozenset(witnesses)
@@ -250,20 +251,15 @@ def test_zero_chord_is_a_degenerate_input(dup):
 
 
 def count_directions_built(monkeypatch):
-    """Counts the Directions built through either constructor: ``Direction(...)`` or ``_of_canonical``."""
+    """Counts the Directions built through their one constructor, ``Direction.__init__``."""
     built = [0]
-    init, of_canonical = Direction.__init__, Direction._of_canonical.__func__
+    init = Direction.__init__
 
     def counted_init(self, dx, dy):
         built[0] += 1
         init(self, dx, dy)
 
-    def counted_of_canonical(cls, dx, dy):
-        built[0] += 1
-        return of_canonical(cls, dx, dy)
-
     monkeypatch.setattr(Direction, "__init__", counted_init)
-    monkeypatch.setattr(Direction, "_of_canonical", classmethod(counted_of_canonical))
     return built
 
 
@@ -278,7 +274,7 @@ def test_one_direction_built_per_rational_class(which, monkeypatch):
     pts = lattice12() if which == "lattice12" else random_point_set(random.Random(70), 70, 50)
     built = count_directions_built(monkeypatch)
     classes = pair_directions(pts)
-    assert 0 < built[0] <= len(classes) < len(pts) * (len(pts) - 1) // 2
+    assert built[0] == 0 < len(classes) < len(pts) * (len(pts) - 1) // 2  # rational classes stay keys
     built[0] = 0
     rep = spectrum(pts)
     assert built[0] == len(rep.witnesses)  # one per witness, the generic one included
@@ -307,7 +303,7 @@ RATIONAL_CORPORA = (
 def test_rational_kernel_counts_every_class(pts):
     # the kernel's keys and counts, in order, against pair_directions, the two-pass reference and the oracle
     classes = _rational_classes([_homogeneous(p) for p in pts])
-    assert list(classes.items()) == [((d.dx, d.dy), c) for d, c in pair_directions(pts)]
+    assert list(classes.items()) == list(pair_directions(pts).items())
     dirs = two_pass_directions(pts)
     assert list(classes.items()) == [((d.dx, d.dy), len(two_pass_partition(pts, d).groups)) for d in dirs]
     if len(pts) <= MAX_ORACLE_POINTS:
@@ -321,8 +317,8 @@ def mixed_direction_lists():
     ruled = [Direction(1, t) for t in range(4)] + [Direction(z, 4 * z), Direction(z + 2, 5 * z + 10)]
     gapped = [Direction(2, 3), Direction(-1, 5), Direction(z, -z)] + [Direction(1, t) for t in (0, 1, 3)]
     embedded = [Direction(CycloElement.from_rational(12, 1), CycloElement.from_rational(12, t)) for t in range(3)]
-    polygon12 = [d for d, _ in pair_directions(polygon(12))] + [Direction(1, t) for t in range(-3, 3)]
-    lattice_and_polygon = [d for d, _ in pair_directions(lattice12()) + pair_directions(polygon(12, True))]
+    polygon12 = [Direction(*key) for key in pair_directions(polygon(12))] + [Direction(1, t) for t in range(-3, 3)]
+    lattice_and_polygon = [Direction(*key) for pts in (lattice12(), polygon(12, True)) for key in pair_directions(pts)]
     return [
         pytest.param(ruled, id="ruled"),
         pytest.param(gapped, id="gapped"),
@@ -430,10 +426,10 @@ FIELD, PACKED = 0, 10**30  # gate budgets that force the field test and packing
 
 
 def scan(pts, budget):
-    """pair_directions with the packing gate at ``budget``."""
+    """pair_directions' classes in order, with the packing gate at ``budget``."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(SPECTRUM, "_PACKED_BUDGET", budget)
-        return pair_directions(pts)
+        return list(pair_directions(pts).items())
 
 
 def packs(pts):
@@ -446,13 +442,13 @@ def packs(pts):
 def test_one_bucket_decides_every_pair_exactly(n, center, monkeypatch):
     pts = polygon(n, center)
     assert packs(pts)
-    bucketed = pair_directions(pts)
+    bucketed = list(pair_directions(pts).items())
     calls = count_parallel_tests(monkeypatch)
     monkeypatch.setattr(SPECTRUM, "_slope_key", lambda points: lambda i, j: 0)
-    assert pair_directions(pts) == bucketed
+    assert list(pair_directions(pts).items()) == bucketed
     monkeypatch.setattr(SPECTRUM, "_PACKED_BUDGET", FIELD)
     calls[0] = 0
-    assert pair_directions(pts) == bucketed
+    assert list(pair_directions(pts).items()) == bucketed
     assert calls[0] > len(pts) * (len(pts) - 1) // 2
 
 
@@ -504,7 +500,7 @@ def test_exact_tests_at_most_one_per_chord(monkeypatch):
     calls = count_parallel_tests(monkeypatch)
     classes = pair_directions(pts)
     assert calls[0] <= len(pts) * (len(pts) - 1) // 2 == 1128
-    assert len(classes) == 48 and {c for _, c in classes} == {24, 25}
+    assert len(classes) == 48 and set(classes.values()) == {24, 25}
 
 
 def rotated_polygon(n, digits):
@@ -577,7 +573,7 @@ def test_construct_takes_the_packed_scan(n, monkeypatch):
     assert packs(pts)
     calls = count_parallel_tests(monkeypatch)
     classes = pair_directions(pts)
-    assert calls[0] == sum(1 for _, c in classes if n - c >= 2) > 0
+    assert calls[0] == sum(1 for c in classes.values() if n - c >= 2) > 0
 
 
 def test_packed_width_is_exact_at_its_bound():
@@ -590,7 +586,7 @@ def test_packed_width_is_exact_at_its_bound():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(SPECTRUM, "_slope_key", lambda points: lambda i, j: 0)
         classes = pair_directions(pts)
-    assert [d for d, _ in classes] == two_pass_directions(pts)
+    assert [Direction(dx, dy) for dx, dy in classes] == two_pass_directions(pts)
     assert len(classes) == 3
 
 
@@ -603,8 +599,8 @@ def test_hostile_bundles_keep_the_field_scan(which, verdict, tmp_path):
     pts = [dual_line_to_point(line) for line in bundle.lines]
     assert not packs(pts)
     classes = pair_directions(pts)
-    assert classes == scan(pts, PACKED)
-    assert len(classes) == 24 if which == "rotated32" else {c for _, c in classes} == {23}
+    assert list(classes.items()) == scan(pts, PACKED)
+    assert len(classes) == 24 if which == "rotated32" else set(classes.values()) == {23}
     path = tmp_path / f"{which}.json"
     write_bundle(bundle, path)
     env = {**os.environ, "PYTHONPATH": str(Path(dircover.__file__).parents[1])}
@@ -659,9 +655,10 @@ def test_packed_test_decides_random_chord_pairs(case):
 @settings(max_examples=100, deadline=None)
 @given(chord_quadruples())
 def test_width_bounds_every_folded_cross_product(case):
-    # F = (dx1*dy2 - dy1*dx2) * Q with exponents folded mod m, on the points
-    # scaled by their common denominator: below 2**k - 1 for every pair of
-    # chords, and zero exactly for parallel ones.
+    # F = X * Q with exponents folded mod m, X = dx1*dy2 - dy1*dx2 on the
+    # points scaled by their common denominator: below 2**k - 1 for every
+    # pair of chords, and zero exactly for parallel ones, exactly when the
+    # packed test's remainder X(2**k) mod Phi_m(2**k) is zero.
     order, pts = case
     phi = euler_phi(order)
     coords = [CycloElement.from_rational(order, c) if isinstance(c, Fraction) else c for p in pts for c in (p.x, p.y)]
@@ -677,6 +674,7 @@ def test_width_bounds_every_folded_cross_product(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(SPECTRUM, "_PACKED_BUDGET", PACKED)
         k = SPECTRUM._packed_coordinates(pts, order)[0]
+    modulus = sum(c << (k * e) for e, c in enumerate(cyclotomic_poly(order)))
     for (i, j), (r, s) in combinations(chords, 2):
         dx1, dy1 = ([b - a for a, b in zip(vecs[2 * i + t], vecs[2 * j + t])] for t in (0, 1))
         dx2, dy2 = ([b - a for a, b in zip(vecs[2 * r + t], vecs[2 * s + t])] for t in (0, 1))
@@ -690,7 +688,8 @@ def test_width_bounds_every_folded_cross_product(case):
                 f[(a + e) % order] += v * c
         assert max(map(abs, f)) < 2**k - 1
         parallel = Direction.between(pts[i], pts[j]).parallel_to(Direction.between(pts[r], pts[s]))
-        assert parallel == (not any(f))
+        packed = sum(v << (k * a) for a, v in enumerate(x))
+        assert (packed % modulus == 0) == (not any(f)) == parallel
 
 
 def double_loop_ambiguous(ys, epsilon):

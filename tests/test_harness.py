@@ -162,19 +162,18 @@ class TestCheckSuites:
         assert seen == {True, False}
 
     def test_pinchasi_counts_are_the_spectrum_counts(self, monkeypatch):
-        # the suite reads I(Q) from the rational classing kernel; every set it draws must give spectrum's counts
+        # the suite reads I(Q) from the classing entry point; every set it draws must give spectrum's counts
         drawn = 0
-        kernel = checks._rational_classes
+        kernel = checks.pair_directions
 
-        def compared(triples):
+        def compared(pts):
             nonlocal drawn
             drawn += 1
-            classes = kernel(triples)
-            pts = [Point(Fraction(x, w), Fraction(y, w)) for x, y, w in triples]
+            classes = kernel(pts)
             assert {len(pts)} | set(classes.values()) == spectrum(pts).counts, pts
             return classes
 
-        monkeypatch.setattr(checks, "_rational_classes", compared)
+        monkeypatch.setattr(checks, "pair_directions", compared)
         for seed in (3, 42):
             rep = pinchasi_check(seed)
             assert rep.passed == 1000 and rep.ok

@@ -275,8 +275,8 @@ class TestSpectrumInvariants:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(points, min_size=2, max_size=6, unique=True))
     def test_every_chord_direction_collapses_its_pair(self, pts):
-        for d, c in pair_directions(pts):
-            part = lines_in_direction(pts, d)
+        for (dx, dy), c in pair_directions(pts).items():
+            part = lines_in_direction(pts, Direction(dx, dy))
             assert len(part.groups) == c <= len(pts) - 1
 
 
