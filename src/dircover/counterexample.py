@@ -20,7 +20,6 @@ from .field import (
     _format_ratio,
     _from_ratios,
     _parse_ratio,
-    _real_bounds,
     approx_str,
     euler_phi,
     format_rational,
@@ -90,9 +89,11 @@ class CounterexampleBundle(_Frozen):
 _MAX_N = 300
 """The most lines :func:`family_config` builds and :func:`read_bundle` loads.
 
-Pinned to one CPU of a 2-core host, ``counterexample --n 300`` runs in 1.5 s;
-in process, n = 301 (in Q(zeta_1204)) builds and certifies in 11 s, and an
-n = 301 bundle reads and verifies in 10 s.
+The cost is set by phi(lcm(4, n)), not by n alone, so odd n is the slow
+end.  Pinned to one CPU of a 2-core host, through the CLI,
+``counterexample --n 300`` takes 0.7-1.0 s and ``verify`` of its bundle
+0.8-0.9 s.  The slowest n up to the cap is odd: n = 299 (in Q(zeta_1196)),
+where each takes 14-16 s.
 """
 
 
@@ -152,72 +153,6 @@ def verify(lines: Sequence[NonVerticalLine]) -> VerificationReport:
         stab_counts=stab_spectrum(lines),
         forbidden=frozenset({n - 1, n - 2}),
     )
-
-
-class FloatCrosscheck(_Frozen):
-    """The float stab counts of :func:`float_crosscheck` and the abscissas it could not decide."""
-
-    __slots__ = ("counts", "inconclusive")
-
-    @property
-    def conclusive(self) -> bool:
-        return not self.inconclusive
-
-
-_EPSILON = 1e-6  # float_crosscheck's cluster tolerance
-
-
-def float_crosscheck(lines: Sequence[NonVerticalLine]) -> FloatCrosscheck:
-    """Approximate stab spectrum of a line family from floating intersections, for cross-checks.
-
-    For each pairwise intersection abscissa A it clusters the n ordinate
-    values { -(a_i*A + b_i) } at tolerance epsilon = 1e-6 and records the
-    cluster count; any two values with a gap in [epsilon, 10*epsilon) make
-    that abscissa inconclusive (reported, not counted, never an error).  The
-    generic count n is always included.  The values are sorted, so the
-    nearest value at least epsilon above each one is found by one forward
-    pass (:func:`_has_ambiguous_gap`).
-    """
-
-    def real(x) -> float:  # one integer dot product, then a correctly rounded division
-        s, _, d = _real_bounds(x, 64)
-        return s / d
-
-    coeffs = [(real(line.a), real(line.b)) for line in lines]
-    counts = {len(coeffs)}
-    inconclusive: list[float] = []
-    for i in range(len(coeffs)):
-        for j in range(i + 1, len(coeffs)):
-            ai, bi = coeffs[i]
-            aj, bj = coeffs[j]
-            if ai == aj:
-                continue
-            abscissa = (bi - bj) / (aj - ai)
-            ys = sorted(-(a * abscissa + b) for a, b in coeffs)
-            if _has_ambiguous_gap(ys, _EPSILON):
-                inconclusive.append(abscissa)
-                continue
-            clusters = 1 + sum(1 for u in range(1, len(ys)) if ys[u] - ys[u - 1] >= _EPSILON)
-            counts.add(clusters)
-    return FloatCrosscheck(frozenset(counts), tuple(inconclusive))
-
-
-def _has_ambiguous_gap(ys: Sequence[float], epsilon: float) -> bool:
-    """Whether two of the sorted values differ by a gap in [epsilon, 10*epsilon).
-
-    Float subtraction is monotone, so for each u the least gap of at least
-    epsilon is to the first such v, and that v never moves back as u grows.
-    """
-    v = 0
-    for u, y in enumerate(ys):
-        v = max(v, u + 1)
-        while v < len(ys) and ys[v] - y < epsilon:
-            v += 1
-        if v == len(ys):
-            return False
-        if ys[v] - y < 10 * epsilon:
-            return True
-    return False
 
 
 def approximate_lines(lines: Sequence[NonVerticalLine]) -> tuple[tuple[str, str], ...]:

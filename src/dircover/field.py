@@ -330,11 +330,6 @@ def _lift(value, order: int) -> Optional[CycloElement]:
     return None
 
 
-def zeta(order: int, power: int = 1) -> CycloElement:
-    """zeta_n^k as a reduced element of Q(zeta_n)."""
-    return _from_powers(order, [(power, 1)])
-
-
 def residue_primes(order: int) -> Iterator[tuple[int, int]]:
     """Primes p = 1 (mod order), each with a root w of Phi_order mod p, found one at a time.
 

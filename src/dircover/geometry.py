@@ -166,10 +166,6 @@ class Direction(_Frozen):
         """Direction of the segment from p to q."""
         return cls(q.x - p.x, q.y - p.y)
 
-    @property
-    def is_vertical(self) -> bool:
-        return self.dx == 0
-
     def parallel_to(self, other: "Direction") -> bool:
         return cross(self.dx, self.dy, other.dx, other.dy) == 0
 

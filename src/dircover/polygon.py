@@ -43,13 +43,6 @@ class PolygonConfig(_Frozen):
         return self.vertices + (1 if self.with_center else 0)
 
 
-def chord_class(n: int, i: int, j: int) -> int:
-    """Direction class of the chord {i, j}: the residue (i + j) mod n."""
-    if i % n == j % n:
-        raise ValueError("a chord needs two distinct vertices")
-    return (i + j) % n
-
-
 def polygon_direction_count(cfg: PolygonConfig, d: int) -> int:
     """Cover-line count of the configuration in chord-direction class d.
 

@@ -38,7 +38,7 @@ class TestFileFormats:
         assert parse_lines(format_lines(lines)) == lines
 
     def test_format_rejects_cyclotomic(self):
-        from dircover.field import zeta
+        from support import zeta
 
         with pytest.raises(ValueError):
             format_points([Point(zeta(5), zeta(5, 2))])

@@ -13,8 +13,8 @@ The reference compares every chord with every class, so agreement on large
 polygons, on chords parallel to within 10**-30, on coordinates with
 30-digit denominators, on a prime the scan must skip and with every chord
 forced into one bucket shows that the buckets only ever skip tests that
-would have said "not parallel".  The gap scan of ``float_crosscheck`` is
-compared with its earlier double loop.
+would have said "not parallel".  The gap scan of ``float_crosscheck``, kept
+in ``tests/support.py``, is compared with its earlier double loop.
 
 Inside a bucket the production scan tests chords on packed integers, and
 keeps the field test (``Direction.parallel_to``) only for points whose
@@ -70,14 +70,13 @@ from hypothesis import strategies as st
 
 from dircover.counterexample import (
     CounterexampleBundle,
-    _has_ambiguous_gap,
     construct,
     read_bundle,
     verify,
     write_bundle,
 )
 from dircover.errors import DegenerateInputError, OrderMismatchError
-from dircover.field import CycloElement, _real_bounds, cyclotomic_poly, euler_phi, residue, residue_primes, zeta
+from dircover.field import CycloElement, _real_bounds, cyclotomic_poly, euler_phi, residue, residue_primes
 from dircover.geometry import (
     Direction,
     NonVerticalLine,
@@ -101,6 +100,8 @@ from dircover.spectrum import (
     spectrum,
     stab_spectrum,
 )
+
+from support import has_ambiguous_gap, zeta
 
 
 def two_pass_directions(pts):
@@ -152,7 +153,7 @@ def two_pass_stab(lines, dirs=None):
     counts = {len(lines)}
     if len(duals) >= 2:
         for d in two_pass_directions(duals) if dirs is None else dirs:
-            if not d.is_vertical:
+            if d.dx != 0:
                 counts.add(len(two_pass_partition(duals, d).groups))
     return frozenset(counts)
 
@@ -717,7 +718,7 @@ def test_gap_scan_agrees_with_double_loop():
     outcomes = set()
     for ys in cases:
         expected = double_loop_ambiguous(ys, 1e-6)
-        assert _has_ambiguous_gap(ys, 1e-6) == expected
+        assert has_ambiguous_gap(ys, 1e-6) == expected
         outcomes.add(expected)
     assert outcomes == {True, False}
     bundle = construct(12)
@@ -729,7 +730,7 @@ def test_gap_scan_agrees_with_double_loop():
                 x = (bi - bj) / (aj - ai)
                 ys = sorted(-(a * x + b) for a, b in coeffs)
                 for epsilon in (1e-12, 1e-6, 1e-2, 0.3):
-                    assert _has_ambiguous_gap(ys, epsilon) == double_loop_ambiguous(ys, epsilon)
+                    assert has_ambiguous_gap(ys, epsilon) == double_loop_ambiguous(ys, epsilon)
 
 
 def double_loop_witness(lines):

@@ -27,9 +27,10 @@ from dircover.field import (
     euler_phi,
     format_rational,
     parse_rational,
-    zeta,
 )
 from dircover.geometry import Direction, NonVerticalLine, Point
+
+from support import zeta
 
 
 def _divide_by_x_minus_1(desc_coeffs):

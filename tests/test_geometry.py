@@ -7,9 +7,9 @@ from itertools import combinations
 
 import pytest
 
-from dircover.counterexample import CounterexampleBundle, FloatCrosscheck, VerificationReport
+from dircover.counterexample import CounterexampleBundle, VerificationReport
 from dircover.errors import DegenerateInputError, OrderMismatchError
-from dircover.field import CycloElement, zeta
+from dircover.field import CycloElement
 from dircover.geometry import (
     AffineMap,
     Direction,
@@ -26,6 +26,8 @@ from dircover.geometry import (
 )
 from dircover.polygon import PolygonConfig, RationalRotation, instantiate_polygon
 from dircover.spectrum import LinePartition, SpectrumReport
+
+from support import zeta
 
 
 def heptagon():
@@ -173,10 +175,6 @@ class TestDirection:
         with pytest.raises(DegenerateInputError):
             Direction(0, 0)
 
-    def test_vertical(self):
-        assert Direction(0, 1).is_vertical
-        assert not Direction(1, 0).is_vertical
-
     def test_cyclotomic_has_no_canonical_form(self):
         d = Direction(zeta(5), CycloElement.from_rational(5, 1))
         scaled = Direction(zeta(5) * 3, CycloElement.from_rational(5, 3))
@@ -254,11 +252,6 @@ VALUES = {
         ),
         lambda: CounterexampleBundle(PolygonConfig(3), RationalRotation(1, 0), (NonVerticalLine(2, 1),), None, ()),
     ),
-    "FloatCrosscheck": (
-        lambda: FloatCrosscheck(frozenset({4, 7}), ()),
-        lambda: FloatCrosscheck(counts=frozenset({7, 4}), inconclusive=()),
-        lambda: FloatCrosscheck(frozenset({4, 7}), (0.5,)),
-    ),
 }
 HASHABLE = [name for name in VALUES if name != "SpectrumReport"]  # a SpectrumReport holds a dict
 
@@ -318,14 +311,14 @@ class TestValueTypes:
     @pytest.mark.parametrize(
         "args, kwargs",
         [
-            ((frozenset({4}),), {}),
-            ((frozenset({4}), (), ()), {}),
-            ((frozenset({4}),), {"inconclusive": (), "extra": 0}),
-            ((frozenset({4}),), {"counts": frozenset(), "inconclusive": ()}),
-            ((), {"counts": frozenset({4}), "inconclusive": (), "conclusive": True}),
+            (({},), {}),
+            (({}, 1, 1), {}),
+            (({},), {"extra": 0}),
+            (({},), {"witnesses": {}}),
+            (({},), {"counts": frozenset()}),
         ],
         ids=["missing", "extra", "unknown", "twice", "property"],
     )
     def test_record_constructor_refuses_wrong_fields(self, args, kwargs):
-        with pytest.raises(TypeError, match="takes exactly the fields counts, inconclusive"):
-            FloatCrosscheck(*args, **kwargs)
+        with pytest.raises(TypeError, match="takes exactly the fields witnesses, vertical_count"):
+            SpectrumReport(*args, **kwargs)

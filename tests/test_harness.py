@@ -17,11 +17,12 @@ from dircover import checks, randgen
 from dircover.checks import SUITES, affine_check, duality_check, oracle_check, pinchasi_check
 from dircover.cli import build_parser
 from dircover.errors import DegenerateInputError
-from dircover.field import zeta
 from dircover.geometry import Point, collinear
 from dircover.oracle import oracle_spectrum
 from dircover.randgen import random_invertible_map, random_point_set, random_rational
 from dircover.spectrum import spectrum
+
+from support import zeta
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 

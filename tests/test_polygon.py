@@ -6,13 +6,12 @@ from itertools import combinations
 import mpmath
 import pytest
 
-from dircover.field import CycloElement, approx_str, zeta
+from dircover.field import CycloElement, approx_str
 from dircover.geometry import Direction, Point, collinear
 from dircover.polygon import (
     CASE2_NOTE,
     PolygonConfig,
     RationalRotation,
-    chord_class,
     choose_rotation,
     field_order,
     instantiate_polygon,
@@ -21,6 +20,8 @@ from dircover.polygon import (
     polygon_spectrum_enumerated,
 )
 from dircover.spectrum import spectrum
+
+from support import zeta
 
 
 class TestDirectionCounts:
@@ -50,13 +51,6 @@ class TestDirectionCounts:
             polygon_direction_count(PolygonConfig(7), 7)
         with pytest.raises(ValueError):
             polygon_direction_count(PolygonConfig(7), -1)
-
-    def test_chord_class(self):
-        assert chord_class(7, 2, 5) == 0
-        assert chord_class(7, 3, 4) == 0
-        assert chord_class(7, 1, 2) == 3
-        with pytest.raises(ValueError):
-            chord_class(7, 3, 10)  # same vertex mod 7
 
 
 class TestEnumeratedSpectra:
@@ -137,10 +131,11 @@ class TestInstantiation:
     @pytest.mark.parametrize("n", [5, 7, 8, 12, 13, 24])
     def test_residue_model_soundness(self, n):
         # chords {i,j}, {k,l} are geometrically parallel iff i+j = k+l (mod n)
-        pts = instantiate_polygon(PolygonConfig(n), RationalRotation(Fraction(3, 5), Fraction(4, 5)))
+        cfg = PolygonConfig(n)
+        pts = instantiate_polygon(cfg, RationalRotation(Fraction(3, 5), Fraction(4, 5)))
         chords: dict[int, list[Direction]] = {}
         for i, j in combinations(range(n), 2):
-            chords.setdefault(chord_class(n, i, j), []).append(
+            chords.setdefault((i + j) % n, []).append(
                 Direction(pts[j].x - pts[i].x, pts[j].y - pts[i].y)
             )
         reps = {}
@@ -148,6 +143,8 @@ class TestInstantiation:
             reps[cls] = ds[0]
             for d in ds[1:]:
                 assert ds[0].parallel_to(d)
+            # no three vertices are collinear, so each chord saves one line of n
+            assert n - len(ds) == polygon_direction_count(cfg, cls)
         for c1, c2 in combinations(sorted(reps), 2):
             assert not reps[c1].parallel_to(reps[c2])
 

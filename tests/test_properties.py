@@ -7,7 +7,7 @@ from math import gcd
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dircover.field import CycloElement, _real_bounds, approx_str, euler_phi, zeta
+from dircover.field import CycloElement, _real_bounds, approx_str, euler_phi
 from dircover.geometry import (
     Direction,
     NonVerticalLine,
@@ -29,6 +29,8 @@ from dircover.spectrum import (
     stab_spectrum,
     vertical_class_count,
 )
+
+from support import zeta
 
 small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=8)
 coords = st.fractions(min_value=-20, max_value=20, max_denominator=10)

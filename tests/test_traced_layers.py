@@ -8,6 +8,11 @@ but that nothing calls any more.  So this test reads the table, without
 importing or running the benchmark, checks each name against the package,
 and checks in the package's syntax trees that each named function is called
 outside its own body.
+
+The same walk of the syntax trees keeps test-only code out of the package:
+every function, class and method defined there must be referred to by name
+somewhere in the package outside its own body.  Reference code that only
+tests need lives in ``tests/support.py``.
 """
 
 import ast
@@ -60,9 +65,14 @@ def test_traced_metric_names_existing_code(key):
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _call_sites() -> dict:
-    """Each name the package calls, as a bare name or an attribute: (module, enclosing definitions) per call."""
-    sites = defaultdict(list)
+def _walk() -> tuple[dict, dict, list]:
+    """One pass over the package's syntax trees.
+
+    Returns the names it calls, as a bare name or an attribute, and the names
+    it loads, calls included, each with (module, enclosing definitions) per
+    site; and every function, class and method it defines, as (module, path).
+    """
+    calls, loads, definitions = defaultdict(list), defaultdict(list), []
 
     def visit(node, module: str, scope: tuple) -> None:
         for child in ast.iter_child_nodes(node):
@@ -70,15 +80,26 @@ def _call_sites() -> dict:
                 func = child.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 if name:
-                    sites[name].append((module, scope))
-            visit(child, module, scope + (child.name,) if isinstance(child, _DEFINITIONS) else scope)
+                    calls[name].append((module, scope))
+            elif isinstance(child, (ast.Name, ast.Attribute)) and isinstance(child.ctx, ast.Load):
+                loads[child.id if isinstance(child, ast.Name) else child.attr].append((module, scope))
+            if isinstance(child, _DEFINITIONS):
+                definitions.append((module, scope + (child.name,)))
+                visit(child, module, scope + (child.name,))
+            else:
+                visit(child, module, scope)
 
     for path in sorted((ROOT / "src" / "dircover").glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, ())
-    return sites
+    return calls, loads, definitions
 
 
-CALL_SITES = _call_sites()
+CALL_SITES, LOAD_SITES, DEFINED = _walk()
+
+
+def _outside(sites: list, layer: str, own: tuple) -> list:
+    """The sites that are not in the body of the definition ``own`` of module ``layer``."""
+    return [(module, scope) for module, scope in sites if not (module == layer and scope[: len(own)] == own)]
 
 
 @pytest.mark.parametrize("key", TRACED)
@@ -93,9 +114,17 @@ def test_traced_metric_names_called_code(key):
     for layer, own in targets:
         if own[-1].startswith("__"):
             continue
-        callers = [
-            (module, scope)
-            for module, scope in CALL_SITES[own[-1]]
-            if not (module == layer and scope[: len(own)] == own)
-        ]
+        callers = _outside(CALL_SITES[own[-1]], layer, own)
         assert callers, f"{key}: nothing in src/dircover calls {layer}.{'.'.join(own)}, so the metric would read 0"
+
+
+def test_every_definition_is_referenced():
+    # src/ holds no test-only code.  Matched by name, as above, but a load counts
+    # as well as a call: the cmd_* functions and the check suites are only named.
+    unreferenced = [
+        f"{layer}.{'.'.join(own)}"
+        for layer, own in DEFINED
+        if not (own[-1].startswith("__") and own[-1].endswith("__"))
+        and not _outside(LOAD_SITES[own[-1]], layer, own)
+    ]
+    assert not unreferenced, f"nothing in src/dircover refers to {', '.join(unreferenced)}"
