@@ -3,7 +3,12 @@
 Exit codes: 0 success, 1 failed check/verification, 2 parse, usage or I/O
 error, 3 degenerate input.  Decimals are correctly rounded: ``polygon``
 prints 39 significant digits, ``counterexample`` 12.  Each command imports
-the dircover modules it calls, so a process loads no code it does not run.
+only the dircover modules it calls: ``dualize`` loads ``fileio`` and
+``geometry``, ``spectrum`` and ``stab`` those and ``spectrum``, and ``check``
+``checks``, ``geometry``, ``oracle``, ``randgen`` and ``spectrum``.  Only the
+polygon commands load the cyclotomic ``field``: ``polygon`` with ``geometry``
+and ``polygon``, ``counterexample`` and ``verify`` with those, ``spectrum``
+and ``counterexample``.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _witness_doc(part, index: dict) -> dict:
-    from .field import format_rational
+    from .geometry import format_rational
 
     return {
         "direction": [format_rational(part.direction.dx), format_rational(part.direction.dy)],
@@ -57,7 +62,7 @@ def _witness_doc(part, index: dict) -> dict:
 
 
 def cmd_spectrum(args) -> int:
-    from .field import format_rational
+    from .geometry import format_rational
     from .fileio import parse_points
     from .spectrum import spectrum
 
@@ -125,7 +130,8 @@ def cmd_dualize(args) -> int:
 
 
 def cmd_polygon(args) -> int:
-    from .field import approx_str, format_rational
+    from .field import approx_str
+    from .geometry import format_rational
     from .polygon import (
         CASE2_NOTE,
         PolygonConfig,
@@ -194,7 +200,7 @@ def cmd_polygon(args) -> int:
 
 def cmd_counterexample(args) -> int:
     from .counterexample import bundle_to_json, construct, family_config, write_bundle
-    from .field import format_rational
+    from .geometry import format_rational
 
     if args.out:  # refuse a bad family or path before any field work; "a" truncates nothing
         family_config(args.n, args.variant)

@@ -15,23 +15,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ParseError
-from .field import (
-    CycloElement,
-    _format_ratio,
-    _from_ratios,
-    _parse_ratio,
-    approx_str,
-    euler_phi,
-    format_rational,
+from .field import CycloElement, _from_ratios, approx_str, euler_phi
+from .geometry import (
+    NonVerticalLine, _format_ratio, _Frozen, _parse_ratio, concurrent_family, dual_point_to_line, format_rational
 )
-from .geometry import NonVerticalLine, _Frozen, concurrent_family, dual_point_to_line
-from .polygon import (
-    PolygonConfig,
-    RationalRotation,
-    choose_rotation,
-    field_order,
-    instantiate_polygon,
-)
+from .polygon import PolygonConfig, RationalRotation, choose_rotation, field_order, instantiate_polygon
 from .spectrum import stab_spectrum
 
 

@@ -17,65 +17,18 @@ are bucketed by slope, and decides nothing.
 
 from __future__ import annotations
 
-import re
-import sys
-from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context, Decimal
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, count
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import OrderMismatchError, ParseError
+from .errors import DegenerateInputError, OrderMismatchError
+from .geometry import Direction, Point, _format_ratio
 
 RationalLike = Union[int, Fraction]
-
-_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
-
-
-def _shown(text: str) -> str:
-    """A token for an error message: whole when short, else a prefix and its length."""
-    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse the ``p`` / ``p/q`` text form (optional leading minus) into a Fraction.
-
-    An integer past ``int()``'s digit limit is refused, by its length, before ``int()`` runs.
-    """
-    return Fraction(*_parse_ratio(text))
-
-
-def _parse_ratio(text: str) -> tuple[int, int]:
-    """The integers (p, q), q > 0, not always coprime, of :func:`parse_rational`'s text, checked as it checks it."""
-    token = text.strip()
-    if not _RATIONAL_RE.fullmatch(token):
-        raise ParseError(f"not a rational: {_shown(text)}")
-    limit = sys.get_int_max_str_digits()
-    longest = max(map(len, token.lstrip("-").split("/")))
-    if limit and longest > limit:
-        raise ParseError(f"integer of {longest} digits exceeds the {limit}-digit limit")
-    if "/" in token:
-        num, den = token.split("/")
-        if int(den) == 0:
-            raise ParseError(f"zero denominator: {_shown(text)}")
-        return int(num), int(den)
-    return int(token), 1
-
-
-def format_rational(value: RationalLike) -> str:
-    """Inverse of :func:`parse_rational`; integers print without a denominator, at any length."""
-    return _format_ratio(value.numerator, value.denominator)
-
-
-def _format_ratio(num: int, den: int) -> str:
-    """num / den, den > 0, in lowest terms as :func:`format_rational` writes it: one gcd, no Fraction."""
-    g = gcd(num, den)
-    if g == den:
-        return str(Decimal(num // g))
-    return f"{Decimal(num // g)}/{Decimal(den // g)}"
-
 
 def _prime_divisors(n: int) -> list[int]:
     """The distinct primes dividing n >= 1, ascending, by trial division in O(sqrt(n))."""
@@ -366,6 +319,204 @@ def residue(value: Union[Fraction, CycloElement], p: int, w: int) -> Optional[in
     if den % p == 0:
         return None
     return _horner(nums, w, p) * pow(den, -1, p) % p
+
+
+def _slope_key(points: Sequence[Point]) -> Callable[[int, int], Optional[int]]:
+    """The slope mod p of the chord (i, j), or None when it is vertical mod p.
+
+    p is the first prime from :func:`residue_primes` that divides no
+    denominator and keeps the points' residue pairs distinct, so no chord
+    maps to (0, 0).  Parallel chords always share a key; others only by a
+    collision mod p.  Equal points collide under every prime, so two points
+    whose residue pairs collide are compared exactly, and equal ones raise
+    at once, as the rational path does.
+    """
+    orders = {pt.x.order for pt in points if isinstance(pt.x, CycloElement)}
+    if len(orders) > 1:
+        raise OrderMismatchError(f"points from different fields: orders {sorted(orders)}")
+    for p, w in residue_primes(orders.pop()):
+        res = [(residue(pt.x, p, w), residue(pt.y, p, w)) for pt in points]
+        if any(None in r for r in res):
+            continue
+        first: dict[tuple[int, int], int] = {}
+        for i, r in enumerate(res):
+            j = first.setdefault(r, i)
+            if j != i and points[j] == points[i]:
+                raise DegenerateInputError("zero direction")
+        if len(first) == len(points):
+            break
+
+    def key(i: int, j: int) -> Optional[int]:
+        dx, dy = res[j][0] - res[i][0], res[j][1] - res[i][1]
+        return dy * pow(dx, -1, p) % p if dx else None
+
+    return key
+
+
+_PACKED_BUDGET = 350_000
+"""The most k**2 * phi, k the digit width in bits, that :func:`_cyclotomic_classes` packs; more keeps the field test.
+
+A packed test multiplies two k*phi-bit chords and divides by the k*phi-bit
+Phi_m(2**k), while a field product of sparse polygon coordinates costs about
+the same at any k, so packing wins only while k is small, and the more so
+the larger phi is.  On rotated polygons (``RationalRotation.from_parameter(p/q)``,
+many parallel chords, heights growing with q), with the scan forced either
+way, one core of a 2-core VM: at m = 24 the packed scan took 0.44 of the
+field scan's time at k = 208 (k**2 * phi = 346,112) and 0.52 at k = 256
+(524,288); at m = 604 (151 vertices) it took 1.06 to 1.13 times the field
+scan's at k = 30 (270,000), the widest inside the budget that these
+polygons reach, and 1.3 times at k = 37 (410,700).  So one budget for
+every order sits a little past the m = 604 crossover and far below the
+m = 24 one.  Every ``construct(n)`` family, n <= 300, is at most 304,128
+(n = 299: phi = 528, k <= 24).
+"""
+
+
+def _cofactor(order: int) -> list[int]:
+    """Q = (x**order - 1) / Phi_order, ascending integer coefficients, by long division by the monic Phi_order."""
+    phi_m = cyclotomic_poly(order)
+    deg = len(phi_m) - 1
+    terms = [(j, c) for j, c in enumerate(phi_m) if c]
+    rem = [-1] + [0] * (order - 1) + [1]
+    quo = [0] * (order - deg + 1)
+    for i in range(order - deg, -1, -1):
+        c = quo[i] = rem[i + deg]
+        if c:
+            for j, t in terms:
+                rem[i + j] -= c * t
+    return quo
+
+
+def _packed_coordinates(points: Sequence[Point], order: int) -> Optional[tuple[int, list[int], list[int], int]]:
+    """(k, xs, ys, Phi_m(2**k)): every coordinate packed at x = 2**k, or None past :data:`_PACKED_BUDGET`.
+
+    Each coordinate, lifted to Q(zeta_m) with m = order and phi = phi(m), is
+    scaled by the common denominator D of all of them to an integer vector
+    of phi coefficients and packed as its value at x = 2**k.  Packing is
+    linear, so a chord's packed dx and dy are differences of packed points.
+    k is the least width that makes :func:`_cyclotomic_classes`' test exact.
+
+    Gate.  Before anything is scaled or packed, bit lengths bound k: a scaled
+    coefficient num * (D / den) is below 2**w with w = bits(num) + bits(D / den),
+    so a spread is below 2**(w + 1), and k <= bits(2*phi * ||Q||_1) +
+    wx + wy + 2 for the widest x and y coordinates.  When that bound's square
+    times phi exceeds :data:`_PACKED_BUDGET` the answer is None.  It is tried
+    first without the bits of D / den, so large coefficients are refused
+    before the lcm D is taken.
+    """
+    phi = euler_phi(order)
+    vectors = [
+        (v._num, v._den) if isinstance(v, CycloElement) else ((v.numerator,) + (0,) * (phi - 1), v.denominator)
+        for p in points
+        for v in (p.x, p.y)
+    ]
+    cofactor = _cofactor(order)
+    factor = 2 * phi * sum(map(abs, cofactor))
+
+    def beyond(widths: list[int]) -> bool:
+        return (factor.bit_length() + max(widths[0::2]) + max(widths[1::2]) + 2) ** 2 * phi > _PACKED_BUDGET
+
+    widths = [max(map(int.bit_length, nums)) for nums, _ in vectors]
+    if beyond(widths):  # already without the bits of D / den, before D is taken
+        return None
+    den = lcm(*(d for _, d in vectors))
+    scales = [den // d for _, d in vectors]
+    if beyond([w + s.bit_length() for w, s in zip(widths, scales)]):
+        return None
+    scaled = [[v * s for v in nums] for (nums, _), s in zip(vectors, scales)]
+    hx, hy = (max(max(col) - min(col) for col in zip(*scaled[axis::2])) for axis in (0, 1))
+    k = (factor * hx * hy + 1).bit_length()
+
+    def pack(vec) -> int:
+        return sum(v << (k * e) for e, v in enumerate(vec) if v)
+
+    packed = [pack(v) for v in scaled]
+    return k, packed[0::2], packed[1::2], pack(cyclotomic_poly(order))
+
+
+def _cyclotomic_classes(pts: Sequence[Point]) -> dict[tuple, int]:
+    """:func:`spectrum.pair_directions` when some point is cyclotomic: its classes, keys and counts.
+
+    Chords are bucketed by slope mod a prime (:func:`_slope_key`), which
+    parallel chords share, so the exact test runs only against the classes
+    in the chord's bucket, usually one.  It is on packed integers
+    (:func:`_packed_coordinates`): a chord (dx, dy) is parallel to class r
+    iff dx * ry - dy * rx = 0 mod N = Phi_m(2**k), with (rx, ry) the class's
+    first chord.  The first chord each class absorbs is also tested in the
+    field (:meth:`Direction.parallel_to`), and a disagreement raises
+    ArithmeticError.  Past :data:`_PACKED_BUDGET`, every chord is tested in
+    the field instead, as a Direction against each class in its bucket.
+
+    Exactness.  Chords (dx1, dy1) and (dx2, dy2), as scaled integer
+    coefficient vectors, are parallel iff X = dx1*dy2 - dy1*dx2, of degree
+    at most 2*phi - 2, vanishes at zeta_m.  Packing is a ring homomorphism,
+    so the packed cross product is X(2**k).  If X(zeta_m) = 0, then the
+    monic minimal polynomial Phi_m of zeta_m divides X in Z[x], so N divides
+    X(2**k), for every k.  Conversely, let Q = (x**m - 1) / Phi_m and
+    M = 2**(k*m) - 1 = N * Q(2**k).  If N | X(2**k), then M | X(2**k) * Q(2**k),
+    which is F(2**k) mod M, where F is X*Q with exponents folded mod m
+    (degree below m), as 2**(k*m) = 1 mod M.  If every coefficient of F is
+    smaller than 2**k - 1 in size, then
+    |F(2**k)| <= (2**k - 2) * M / (2**k - 1) < M, so F(2**k) = 0, and then
+    F = 0: its lowest nonzero coefficient would be a multiple of 2**k.  So
+    x**m - 1 = Phi_m * Q divides X*Q, Phi_m divides X, and X(zeta_m) = 0.
+    (The bound is sharp: (2**k - 1)(1 + x + ... + x**(m-1)) packs to M.)
+
+    Bound.  Let Hx and Hy be the largest spread (max - min over the points)
+    of one coefficient of the scaled x or y coordinates
+    (:func:`_packed_coordinates`); they bound every chord's dx and dy.  The
+    coefficient X_a sums N(a) = min(a + 1, 2*phi - 1 - a) products from each
+    of dx1*dy2 and dy1*dx2, so |X_a| <= N(a) * (||dx1|| ||dy2|| + ||dy1|| ||dx2||)
+    <= 2*N(a)*Hx*Hy in the max norm, and N(a) <= phi.  A coefficient of F sums
+    X_a * Q_b over a + b = e mod m: each b in [0, m - phi] meets one a in
+    [0, 2*phi - 2], or two, a and a + m, when 2*phi - 1 > m (the wrap, as for
+    prime m).  Two weigh no more than one, as
+    N(a) + N(a + m) <= (a + 1) + (2*phi - 1 - a - m) = 2*phi - m <= phi.  So
+    ||F|| <= B = 2*phi*Hx*Hy * ||Q||_1, and k is the least width with
+    2**k - 1 > B.
+    """
+    n = len(pts)
+    slope = _slope_key(pts)
+    order = next(p.x.order for p in pts if isinstance(p.x, CycloElement))
+    packed = _packed_coordinates(pts, order)
+    reps: list[Direction] = []
+    seconds: list[set[int]] = []
+    buckets: dict[Optional[int], list[int]] = {}
+    if packed is None:
+        for i in range(n):
+            for j in range(i + 1, n):
+                d = Direction.between(pts[i], pts[j])
+                bucket = buckets.setdefault(slope(i, j), [])
+                r = next((r for r in bucket if d.parallel_to(reps[r])), len(reps))
+                if r == len(reps):
+                    bucket.append(r)
+                    reps.append(d)
+                    seconds.append(set())
+                seconds[r].add(j)
+    else:
+        k, xs, ys, modulus = packed
+        firsts: list[tuple[int, int]] = []  # each class's first chord, packed
+        checked: set[int] = set()
+        for i, (xi, yi) in enumerate(zip(xs, ys)):
+            for j in range(i + 1, n):
+                dx, dy = xs[j] - xi, ys[j] - yi
+                bucket = buckets.setdefault(slope(i, j), [])
+                for r in bucket:
+                    rx, ry = firsts[r]
+                    if (dx * ry - dy * rx) % modulus == 0:
+                        if r not in checked:
+                            checked.add(r)
+                            if not Direction.between(pts[i], pts[j]).parallel_to(reps[r]):
+                                raise ArithmeticError(f"packed parallel test at k = {k} disagrees with the field")
+                        break
+                else:
+                    r = len(reps)
+                    bucket.append(r)
+                    reps.append(Direction.between(pts[i], pts[j]))
+                    firsts.append((dx, dy))
+                    seconds.append(set())
+                seconds[r].add(j)
+    return {(d.dx, d.dy): n - len(js) for d, js in zip(reps, seconds)}
 
 
 def _atan_inv(x: int, w: int) -> int:

@@ -11,8 +11,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ParseError
-from .field import format_rational, parse_rational
-from .geometry import NonVerticalLine, Point
+from .geometry import NonVerticalLine, Point, format_rational, parse_rational
 
 
 def _parse_records(text: str, source: str) -> list[tuple[Fraction, Fraction]]:

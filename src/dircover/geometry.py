@@ -9,23 +9,71 @@ unrepresentable on purpose; vertical probes are handled as directions.
 Everything is generic over the scalar domain (Fraction or CycloElement)
 and decided by exact zero tests.  A coordinate pair shares one domain:
 :func:`_unify` lifts a rational next to a cyclotomic coordinate, or
-refuses two orders, by the field's one lifting rule, ``field._lift``.
+refuses two orders, by the field's one lifting rule, ``field._lift``, found
+in ``sys.modules``: rational commands load this module but never the field.
 """
 
 from __future__ import annotations
 
+import re
+import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 from typing import Sequence, Union
 
-from .errors import DegenerateInputError
-from .field import CycloElement, _lift
+from .errors import DegenerateInputError, ParseError
 
-Scalar = Union[Fraction, CycloElement]
+Scalar = Union[Fraction, "CycloElement"]
+_FIELD = __package__ + ".field"  # CycloElement's module, which this one never imports
+_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
 
 
-def _as_scalar(value) -> Scalar:
-    if isinstance(value, (Fraction, CycloElement)):
+def _shown(text: str) -> str:
+    """A token for an error message: whole when short, else a prefix and its length."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse the ``p`` / ``p/q`` text form (optional leading minus) into a Fraction.
+
+    An integer past ``int()``'s digit limit is refused, by its length, before ``int()`` runs.
+    """
+    return Fraction(*_parse_ratio(text))
+
+
+def _parse_ratio(text: str) -> tuple[int, int]:
+    """The integers (p, q), q > 0, not always coprime, of :func:`parse_rational`'s text, checked as it checks it."""
+    token = text.strip()
+    if not _RATIONAL_RE.fullmatch(token):
+        raise ParseError(f"not a rational: {_shown(text)}")
+    limit = sys.get_int_max_str_digits()
+    longest = max(map(len, token.lstrip("-").split("/")))
+    if limit and longest > limit:
+        raise ParseError(f"integer of {longest} digits exceeds the {limit}-digit limit")
+    if "/" in token:
+        num, den = token.split("/")
+        if int(den) == 0:
+            raise ParseError(f"zero denominator: {_shown(text)}")
+        return int(num), int(den)
+    return int(token), 1
+
+
+def format_rational(value: Union[int, Fraction]) -> str:
+    """Inverse of :func:`parse_rational`; integers print without a denominator, at any length."""
+    return _format_ratio(value.numerator, value.denominator)
+
+
+def _format_ratio(num: int, den: int) -> str:
+    """num / den, den > 0, in lowest terms as :func:`format_rational` writes it: one gcd, no Fraction."""
+    g = gcd(num, den)
+    if g == den:
+        return str(Decimal(num // g))
+    return f"{Decimal(num // g)}/{Decimal(den // g)}"
+
+
+def _as_scalar(value, cyclo) -> Scalar:
+    if isinstance(value, (cyclo, Fraction)):
         return value
     if isinstance(value, int):
         return Fraction(value)
@@ -33,11 +81,13 @@ def _as_scalar(value) -> Scalar:
 
 
 def _unify(x, y) -> tuple[Scalar, Scalar]:
-    x, y = _as_scalar(x), _as_scalar(y)
-    if isinstance(x, CycloElement):
-        return x, _lift(y, x.order)
-    if isinstance(y, CycloElement):
-        return _lift(x, y.order), y
+    field = sys.modules.get(_FIELD)  # no CycloElement exists before its module defines the class
+    cyclo = getattr(field, "CycloElement", ())
+    x, y = _as_scalar(x, cyclo), _as_scalar(y, cyclo)
+    if isinstance(x, cyclo):
+        return x, field._lift(y, x.order)
+    if isinstance(y, cyclo):
+        return field._lift(x, y.order), y
     return x, y
 
 

@@ -413,8 +413,8 @@ class TestPrecisionEnv:
 
 
 # What each command must never import: its modules are exactly the ones it calls.
-_SPECTRUM_NEVER = {"counterexample", "polygon", "checks", "randgen", "oracle"}
-_CHECK_NEVER = {"counterexample", "polygon", "fileio"}
+_SPECTRUM_NEVER = {"counterexample", "polygon", "checks", "randgen", "oracle", "field"}
+_CHECK_NEVER = {"counterexample", "polygon", "fileio", "field"}
 _CERTIFY_NEVER = {"checks", "randgen", "oracle", "fileio"}
 
 
@@ -453,6 +453,7 @@ class TestStartUp:
         [
             (["spectrum", "{square}"], "spectrum", _SPECTRUM_NEVER),
             (["stab", "{lines}"], "spectrum", _SPECTRUM_NEVER),
+            (["dualize", "points", "{square}"], "fileio", _SPECTRUM_NEVER | {"spectrum"}),
             (["verify", "{bundle}"], "counterexample", _CERTIFY_NEVER),
             (["check", "duality", "--trials", "20"], "checks", _CHECK_NEVER),
             (["check", "pinchasi", "--trials", "20"], "checks", _CHECK_NEVER),
@@ -461,7 +462,7 @@ class TestStartUp:
             (["counterexample", "--n", "7"], "counterexample", _CERTIFY_NEVER),
             (["polygon", "--n", "13"], "polygon", _CERTIFY_NEVER | {"counterexample", "spectrum"}),
         ],
-        ids=["spectrum", "stab", "verify", "duality", "pinchasi", "affine", "oracle", "counterexample",
+        ids=["spectrum", "stab", "dualize", "verify", "duality", "pinchasi", "affine", "oracle", "counterexample",
              "polygon"],
     )
     def test_exact_commands_do_not_load_mpmath(self, tmp_path, square_file, bundle, argv, needs, never):
@@ -524,3 +525,33 @@ class TestStartUp:
         import dircover.spectrum as m
 
         assert isinstance(m, types.ModuleType) and callable(m.spectrum)
+
+    def test_geometry_checks_scalars_without_loading_the_field(self):
+        script = """
+import sys
+from fractions import Fraction
+from dircover.geometry import AffineMap, Direction, NonVerticalLine, Point
+
+def refused(build):
+    try:
+        build()
+    except TypeError:
+        return True
+    return False
+
+print(refused(lambda: Point(0.5, 1)), refused(lambda: Direction(1.0, 2)))
+Point(1, Fraction(1, 2)), NonVerticalLine(Fraction(2, 3), -1), Direction(3, 6)
+AffineMap(((1, 2), (3, Fraction(1, 4))), (Fraction(1, 2), 0)).apply(Point(Fraction(1, 3), 2))
+print("dircover.field" in sys.modules)
+from dircover.errors import OrderMismatchError
+from dircover.field import CycloElement
+
+z5, z7 = CycloElement(5, [0, 1]), CycloElement(7, [0, 1])
+p = Point(Fraction(1, 2), z5)
+print(type(p.x).__name__, p.x.order, p.x == Fraction(1, 2), refused(lambda: Point(0.5, z5)))
+try:
+    Point(z5, z7)
+except OrderMismatchError:
+    print("OrderMismatchError")
+"""
+        assert _fresh_interpreter(script) == ["True True", "False", "CycloElement 5 True True", "OrderMismatchError"]

@@ -422,21 +422,21 @@ def count_parallel_tests(monkeypatch):
     return calls
 
 
-SPECTRUM = importlib.import_module("dircover.spectrum")  # the module, not the function that this file imports
+KERNEL = importlib.import_module("dircover.field")  # the module of the cyclotomic classing kernel
 FIELD, PACKED = 0, 10**30  # gate budgets that force the field test and packing
 
 
 def scan(pts, budget):
     """pair_directions' classes in order, with the packing gate at ``budget``."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(SPECTRUM, "_PACKED_BUDGET", budget)
+        mp.setattr(KERNEL, "_PACKED_BUDGET", budget)
         return list(pair_directions(pts).items())
 
 
 def packs(pts):
     """Whether pair_directions packs these cyclotomic points at the module's own budget."""
     order = next(p.x.order for p in pts if isinstance(p.x, CycloElement))
-    return SPECTRUM._packed_coordinates(pts, order) is not None
+    return KERNEL._packed_coordinates(pts, order) is not None
 
 
 @pytest.mark.parametrize("n, center", [(24, False), (31, True)])
@@ -445,9 +445,9 @@ def test_one_bucket_decides_every_pair_exactly(n, center, monkeypatch):
     assert packs(pts)
     bucketed = list(pair_directions(pts).items())
     calls = count_parallel_tests(monkeypatch)
-    monkeypatch.setattr(SPECTRUM, "_slope_key", lambda points: lambda i, j: 0)
+    monkeypatch.setattr(KERNEL, "_slope_key", lambda points: lambda i, j: 0)
     assert list(pair_directions(pts).items()) == bucketed
-    monkeypatch.setattr(SPECTRUM, "_PACKED_BUDGET", FIELD)
+    monkeypatch.setattr(KERNEL, "_PACKED_BUDGET", FIELD)
     calls[0] = 0
     assert list(pair_directions(pts).items()) == bucketed
     assert calls[0] > len(pts) * (len(pts) - 1) // 2
@@ -585,7 +585,7 @@ def test_packed_width_is_exact_at_its_bound():
     b = 2**40 - 1
     pts = embedded([Point(0, 0), Point(1, 0), Point(0, b)], 1)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(SPECTRUM, "_slope_key", lambda points: lambda i, j: 0)
+        mp.setattr(KERNEL, "_slope_key", lambda points: lambda i, j: 0)
         classes = pair_directions(pts)
     assert [Direction(dx, dy) for dx, dy in classes] == two_pass_directions(pts)
     assert len(classes) == 3
@@ -649,7 +649,7 @@ def test_packed_test_decides_random_chord_pairs(case):
     # One bucket holds every chord, so every pair of classes meets the packed test.
     _, pts = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(SPECTRUM, "_slope_key", lambda points: lambda a, b: 0)
+        mp.setattr(KERNEL, "_slope_key", lambda points: lambda a, b: 0)
         assert scan(pts, PACKED) == scan(pts, FIELD)
 
 
@@ -673,8 +673,8 @@ def test_width_bounds_every_folded_cross_product(case):
         q = [sum(q[t - s] * c for s, c in enumerate(phi_d) if 0 <= t - s < len(q)) for t in range(len(q) + d_deg)]
     q = [(e, c) for e, c in enumerate(q) if c]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(SPECTRUM, "_PACKED_BUDGET", PACKED)
-        k = SPECTRUM._packed_coordinates(pts, order)[0]
+        mp.setattr(KERNEL, "_PACKED_BUDGET", PACKED)
+        k = KERNEL._packed_coordinates(pts, order)[0]
     modulus = sum(c << (k * e) for e, c in enumerate(cyclotomic_poly(order)))
     for (i, j), (r, s) in combinations(chords, 2):
         dx1, dy1 = ([b - a for a, b in zip(vecs[2 * i + t], vecs[2 * j + t])] for t in (0, 1))

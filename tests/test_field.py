@@ -25,10 +25,8 @@ from dircover.field import (
     approx_str,
     cyclotomic_poly,
     euler_phi,
-    format_rational,
-    parse_rational,
 )
-from dircover.geometry import Direction, NonVerticalLine, Point
+from dircover.geometry import Direction, NonVerticalLine, Point, format_rational, parse_rational
 
 from support import zeta
 

@@ -3,6 +3,8 @@
 from fractions import Fraction
 import copy
 import pickle
+import sys
+import types
 from itertools import combinations
 
 import pytest
@@ -192,6 +194,13 @@ class TestDomains:
             Point(zeta(8), zeta(12))
 
     def test_floats_rejected(self):
+        with pytest.raises(TypeError):
+            Point(0.5, 1)
+
+    def test_field_module_still_loading_holds_no_element(self, monkeypatch):
+        # geometry finds CycloElement in sys.modules; a field import still in progress has not defined it yet
+        monkeypatch.setitem(sys.modules, "dircover.field", types.ModuleType("dircover.field"))
+        assert Point(1, Fraction(1, 2)) == Point(Fraction(1), Fraction(1, 2))
         with pytest.raises(TypeError):
             Point(0.5, 1)
 
