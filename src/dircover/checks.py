@@ -13,7 +13,7 @@ import random
 
 from .geometry import Point, affine_apply, dual_point_to_line, incident
 from .oracle import MAX_ORACLE_POINTS, oracle_spectrum
-from .randgen import random_invertible_map, random_point, random_point_set, random_rational
+from .randgen import _rationals, random_invertible_map, random_point_set
 from .spectrum import pair_directions
 
 
@@ -53,17 +53,15 @@ def duality_check(seed: int, trials: int = 10000, bound: int = 50) -> CheckRepor
     rng = random.Random(seed)
     engineered = max(1, trials // 10)
     rep = CheckReport("duality")
-    for _ in range(trials):
-        p = random_point(rng, bound)
-        q = random_point(rng, bound)
+    draws = _rationals(rng, bound, 4 * trials)
+    for px, py, qx, qy in zip(draws, draws, draws, draws):
+        p, q = Point(px, py), Point(qx, qy)
         if incident(p, dual_point_to_line(q)) == incident(q, dual_point_to_line(p)):
             rep.passed += 1
         else:
             rep.fail(f"asymmetric incidence for p={p} q={q}")
-    for _ in range(engineered):
-        a = random_rational(rng, bound)
-        b = random_rational(rng, bound)
-        x = random_rational(rng, bound)
+    draws = _rationals(rng, bound, 3 * engineered)
+    for a, b, x in zip(draws, draws, draws):
         q = Point(a, b)
         p = Point(x, -(a * x + b))
         if incident(p, dual_point_to_line(q)) and incident(q, dual_point_to_line(p)):

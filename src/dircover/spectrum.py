@@ -68,8 +68,9 @@ class SpectrumReport(_Frozen):
 
 def _homogeneous(p: Point) -> tuple[int, int, int]:
     """The rational point (X/W, Y/W) as the integers (X, Y, W), W = lcm of its denominators."""
-    w = lcm(p.x.denominator, p.y.denominator)
-    return p.x.numerator * (w // p.x.denominator), p.y.numerator * (w // p.y.denominator), w
+    (xn, xd), (yn, yd) = p.x.as_integer_ratio(), p.y.as_integer_ratio()
+    w = lcm(xd, yd)
+    return xn * (w // xd), yn * (w // yd), w
 
 
 def _rational_classes(triples: Sequence[tuple[int, int, int]]) -> dict[tuple[int, int], int]:

@@ -19,7 +19,7 @@ from dircover.cli import build_parser
 from dircover.errors import DegenerateInputError
 from dircover.geometry import Point, collinear
 from dircover.oracle import oracle_spectrum
-from dircover.randgen import random_invertible_map, random_point_set, random_rational
+from dircover.randgen import _rationals, random_invertible_map, random_point_set
 from dircover.spectrum import spectrum
 
 from support import zeta
@@ -74,39 +74,85 @@ class TestRandGen:
         assert len(set(pts)) == 30
 
     def test_rational_bounds(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            q = random_rational(rng, 10)
+        for q in _rationals(random.Random(11), 10, 200):
             assert abs(q.numerator) <= 10 * q.denominator <= 100
 
     @pytest.mark.parametrize("bound", [1, 2, 3, 50, 31, 32, 33, 2**64 - 1, 2**64, 2**64 + 1, 10**30])
     def test_draws_replay_randint(self, bound):
-        # random_rational draws through getrandbits as randint does: same numbers, same state after,
-        # also once more distinct pairs than its Fraction cache holds have been drawn, so it evicts
-        info = randgen._fraction.cache_info
+        # draws go through getrandbits as randint does: same numbers, same state after, also once
+        # more distinct pairs than the Fraction cache holds have been drawn, so it is full
         mine, theirs = random.Random(bound), random.Random(bound)
-        misses = info().misses
-        for _ in range(randgen._FRACTION_CACHE_SIZE + 100):
-            assert random_rational(mine, 10**9) == Fraction(theirs.randint(-(10**9), 10**9), theirs.randint(1, 10**9))
-            assert info().currsize <= info().maxsize
-        assert info().misses - misses > info().maxsize
+        for q in _rationals(mine, 10**9, randgen._FRACTION_CACHE_SIZE + 100):
+            assert q == Fraction(theirs.randint(-(10**9), 10**9), theirs.randint(1, 10**9))
+        assert [len(cache) for cache in randgen._FRACTIONS.values()] == [randgen._FRACTION_CACHE_SIZE]
         assert mine.getstate() == theirs.getstate()
         for seed in range(200):
             mine, theirs = random.Random(seed), random.Random(seed)
             for _ in range(5):
-                assert random_rational(mine, bound) == Fraction(theirs.randint(-bound, bound), theirs.randint(1, bound))
-                assert info().currsize <= info().maxsize
+                assert next(_rationals(mine, bound, 1)) == Fraction(theirs.randint(-bound, bound), theirs.randint(1, bound))
             assert mine.getstate() == theirs.getstate()
+        assert all(len(cache) <= randgen._FRACTION_CACHE_SIZE for cache in randgen._FRACTIONS.values())
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 1000])
+    def test_batches_replay_randint_pairs(self, count):
+        # a batch of count draws is count randint pairs, and leaves randint's state; the bounds go
+        # up and back down, so a batch follows one at another bound and meets that bound's keys
+        bounds = [1, 2, 3, 50, 63, 64, 2**64 - 1, 2**64 + 1, 10**30]
+        for bound in bounds + bounds[::-1]:
+            mine, theirs = random.Random(count + bound), random.Random(count + bound)
+            for _ in range(2):
+                batch = list(_rationals(mine, bound, count))
+                assert batch == [Fraction(theirs.randint(-bound, bound), theirs.randint(1, bound)) for _ in range(count)]
+                assert mine.getstate() == theirs.getstate()
+            # a batch left part way leaves the state of the draws taken
+            draws = _rationals(mine, bound, count + 2)
+            assert next(draws) == Fraction(theirs.randint(-bound, bound), theirs.randint(1, bound))
+            assert mine.getstate() == theirs.getstate()
+            assert len(randgen._FRACTIONS[bound]) <= randgen._FRACTION_CACHE_SIZE
+
+    @pytest.mark.parametrize("bound", [1, 2, 3])
+    def test_point_sets_replay_point_by_point_randint(self, bound):
+        # at bounds 1 to 3 there are 9, 49 and 225 distinct points, so redraws are frequent, and
+        # a set of more points than exist raises after as many misses as the point-by-point loop
+        def reference(rng, size):
+            pts, seen, misses = [], set(), 0
+            while len(pts) < size:
+                p = Point(*(Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(2)))
+                if p in seen:
+                    misses += 1
+                    if misses > 100 * size + 1000:
+                        raise ValueError("coordinate bound too small for requested set size")
+                    continue
+                seen.add(p)
+                pts.append(p)
+            return pts
+
+        distinct = {1: 9, 2: 49, 3: 225}[bound]
+        for size in [0, 1, 2, 5, 9, distinct, distinct + 1]:
+            for seed in range(3):
+                mine, theirs = random.Random(seed), random.Random(seed)
+                try:
+                    expected = reference(theirs, size)
+                except ValueError:
+                    with pytest.raises(ValueError, match="coordinate bound too small"):
+                        random_point_set(mine, size, bound)
+                    assert size > distinct
+                else:
+                    assert random_point_set(mine, size, bound) == expected
+                assert mine.getstate() == theirs.getstate()
 
     @pytest.mark.parametrize("bound", [1, 50, 51, 10**30])
     def test_cached_draws_are_in_lowest_terms(self, bound):
-        # a second run of the same seed is served from the cache: the same instances, still reduced
+        # the cache keeps the first pairs drawn since the bound changed, so from an empty one a second
+        # run of the same seed is served from it: the same instances, still reduced, and it stays bounded
         def draws():
             rng = random.Random(bound)
-            return [random_rational(rng, bound) for _ in range(1000)]
+            return list(_rationals(rng, bound, 1000))
 
+        randgen._FRACTIONS.clear()
         first, again = draws(), draws()
         assert all(q is r for q, r in zip(first, again))
+        assert len(randgen._FRACTIONS[bound]) <= min(1000, randgen._FRACTION_CACHE_SIZE)
         for q in first:
             n, d = q.as_integer_ratio()
             assert d > 0 and gcd(n, d) == 1 and abs(n) <= bound * d
@@ -115,24 +161,39 @@ class TestRandGen:
         # getrandbits(0) is 0, so a draw below a width of 0 would never end; run it where a hang times out
         code = (
             "import random\n"
-            "from dircover.randgen import random_rational\n"
+            "from dircover.checks import duality_check\n"
+            "from dircover.randgen import _rationals, random_invertible_map, random_point_set\n"
+            "draws = [lambda rng, b: next(_rationals(rng, b, 1)), lambda rng, b: random_point_set(rng, 1, b),\n"
+            "         random_invertible_map, lambda rng, b: duality_check(0, trials=1, bound=b)]\n"
             "for bound in (0, -1, -2, -50, -(2**70)):\n"
-            "    try:\n"
-            "        random_rational(random.Random(bound), bound)\n"
-            "    except ValueError:\n"
-            "        continue\n"
-            "    raise SystemExit(f'no ValueError at bound {bound}')\n"
+            "    for draw in draws:\n"
+            "        try:\n"
+            "            draw(random.Random(bound), bound)\n"
+            "        except ValueError:\n"
+            "            continue\n"
+            "        raise SystemExit(f'no ValueError at bound {bound}')\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(dircover.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30)
         assert done.returncode == 0, done.stderr
 
     def test_random_map_is_invertible(self):
-        rng = random.Random(3)
-        for _ in range(20):
-            amap = random_invertible_map(rng, 8)
-            (m00, m01), (m10, m11) = amap.m
-            assert m00 * m11 - m01 * m10 != 0
+        # four entries until the matrix is nonsingular (often redrawn at bound 1), then the
+        # translation: the randint draws of one entry at a time, and randint's state after
+        def coord(rng):
+            return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+        for bound in (1, 8):
+            rng, theirs = random.Random(3), random.Random(3)
+            for _ in range(20):
+                amap = random_invertible_map(rng, bound)
+                (m00, m01), (m10, m11) = amap.m
+                assert m00 * m11 - m01 * m10 != 0
+                m = [coord(theirs) for _ in range(4)]
+                while m[0] * m[3] - m[1] * m[2] == 0:
+                    m = [coord(theirs) for _ in range(4)]
+                assert [m00, m01, m10, m11] == m and list(amap.t) == [coord(theirs), coord(theirs)]
+                assert rng.getstate() == theirs.getstate()
 
 
 class TestCheckSuites:
