@@ -11,6 +11,11 @@ and decided by exact zero tests.  A coordinate pair shares one domain:
 :func:`_unify` lifts a rational next to a cyclotomic coordinate, or
 refuses two orders, by the field's one lifting rule, ``field._lift``, found
 in ``sys.modules``: rational commands load this module but never the field.
+Rational incidence and rational affine images are decided on the integer
+numerators and denominators of their Fractions, an image coordinate built
+as one Fraction.  The duality maps do not validate again: a point and a
+line apply the same domain rule to their pair, so a dual takes the source
+record's pair as it is.
 """
 
 from __future__ import annotations
@@ -105,6 +110,7 @@ def _canonical(dx: int, dy: int) -> tuple[int, int]:
 
 
 _set = object.__setattr__
+_new = object.__new__
 
 
 class _Frozen:
@@ -113,9 +119,10 @@ class _Frozen:
     The constructor takes every field, by position or by keyword; a missing,
     extra or unknown field raises TypeError.  A subclass that checks or
     converts its fields defines its own, and sets each field once through
-    ``object.__setattr__``; assigning or deleting one later raises
-    AttributeError.  Equality holds only between instances of one class.
-    Copies and pickles are rebuilt through the constructor.
+    ``object.__setattr__`` or the field's slot descriptor; assigning or
+    deleting one later raises AttributeError.  Equality holds only between
+    instances of one class.  Copies and pickles are rebuilt through the
+    constructor.
     """
 
     __slots__ = ()
@@ -165,8 +172,8 @@ class Point(_Frozen):
     def __init__(self, x: Scalar, y: Scalar):
         if not type(x) is type(y) is Fraction:
             x, y = _unify(x, y)
-        _set(self, "x", x)
-        _set(self, "y", y)
+        _set_x(self, x)
+        _set_y(self, y)
 
 
 class NonVerticalLine(_Frozen):
@@ -181,8 +188,8 @@ class NonVerticalLine(_Frozen):
     def __init__(self, a: Scalar, b: Scalar):
         if not type(a) is type(b) is Fraction:
             a, b = _unify(a, b)
-        _set(self, "a", a)
-        _set(self, "b", b)
+        _set_a(self, a)
+        _set_b(self, b)
 
 
 class Direction(_Frozen):
@@ -208,8 +215,8 @@ class Direction(_Frozen):
             dx, dy = _canonical(dx, dy)
         elif dx == 0 and dy == 0:
             raise DegenerateInputError("zero direction")
-        _set(self, "dx", dx)
-        _set(self, "dy", dy)
+        _set_dx(self, dx)
+        _set_dy(self, dy)
 
     @classmethod
     def between(cls, p: Point, q: Point) -> "Direction":
@@ -220,14 +227,30 @@ class Direction(_Frozen):
         return cross(self.dx, self.dy, other.dx, other.dy) == 0
 
 
+# The three records' fields are set through their slot descriptors, which skips the name lookup of setattr.
+_set_x, _set_y = Point.x.__set__, Point.y.__set__
+_set_a, _set_b = NonVerticalLine.a.__set__, NonVerticalLine.b.__set__
+_set_dx, _set_dy = Direction.dx.__set__, Direction.dy.__set__
+
+
 def dual_point_to_line(p: Point) -> NonVerticalLine:
-    """The bijection sending point (a, b) to the line y + a*x + b = 0."""
-    return NonVerticalLine(p.x, p.y)
+    """The bijection sending point (a, b) to the line y + a*x + b = 0.
+
+    The line takes the point's coordinate objects as they are: a point and a
+    line apply the same domain rule to their pair, so it is not checked again.
+    """
+    line = _new(NonVerticalLine)
+    _set_a(line, p.x)
+    _set_b(line, p.y)
+    return line
 
 
 def dual_line_to_point(line: NonVerticalLine) -> Point:
-    """Inverse of :func:`dual_point_to_line`."""
-    return Point(line.a, line.b)
+    """Inverse of :func:`dual_point_to_line`, which likewise takes the line's pair unchecked."""
+    p = _new(Point)
+    _set_x(p, line.a)
+    _set_y(p, line.b)
+    return p
 
 
 def incident(p: Point, line: NonVerticalLine) -> bool:
@@ -315,9 +338,35 @@ class AffineMap(_Frozen):
         _set(self, "t", (tx, ty))
 
     def apply(self, p: Point) -> Point:
+        """The image m @ p + t.
+
+        When all six map scalars and both coordinates are Fractions, each
+        image coordinate is computed on their integer numerators and
+        denominators by :func:`_affine_row`, as :func:`incident` decides
+        incidence, and built as one Fraction.  Any other domain, even one
+        cyclotomic scalar among the eight, takes the scalar arithmetic.
+        """
         (m00, m01), (m10, m11) = self.m
         tx, ty = self.t
-        return Point(m00 * p.x + m01 * p.y + tx, m10 * p.x + m11 * p.y + ty)
+        x, y = p.x, p.y
+        if type(x) is type(y) is type(m00) is type(m01) is type(m10) is type(m11) is type(tx) is type(ty) is Fraction:
+            xn, xd = x.as_integer_ratio()
+            yn, yd = y.as_integer_ratio()
+            return Point(_affine_row(m00, m01, tx, xn, xd, yn, yd), _affine_row(m10, m11, ty, xn, xd, yn, yd))
+        return Point(m00 * x + m01 * y + tx, m10 * x + m11 * y + ty)
+
+
+def _affine_row(m0: Fraction, m1: Fraction, t: Fraction, xn: int, xd: int, yn: int, yd: int) -> Fraction:
+    """m0·x + m1·y + t for x = xn/xd and y = yn/yd, xd, yd > 0, as one Fraction of integers.
+
+    With m0 = an/ad, m1 = bn/bd, t = tn/td, u = ad·xd and v = bd·yd, the
+    value is ((an·xn·v + bn·yn·u)·td + tn·u·v) / (u·v·td).  Every Fraction
+    denominator is positive, so this one is too, and Fraction reduces the
+    pair once, where the scalar form reduces after each of its four operations.
+    """
+    (an, ad), (bn, bd), (tn, td) = m0.as_integer_ratio(), m1.as_integer_ratio(), t.as_integer_ratio()
+    u, v = ad * xd, bd * yd
+    return Fraction((an * xn * v + bn * yn * u) * td + tn * u * v, u * v * td)
 
 
 def affine_apply(amap: AffineMap, points: Sequence[Point]) -> list[Point]:

@@ -21,7 +21,7 @@ Distinctness is checked once, in :func:`spectrum` and :func:`stab_spectrum`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import DegenerateInputError
@@ -77,19 +77,27 @@ def _rational_classes(triples: Sequence[tuple[int, int, int]]) -> dict[tuple[int
     """Each chord class of the rational points given as :func:`_homogeneous` triples, with its cover count.
 
     A chord (i, j), i < j, is keyed by its canonical direction
-    (Xj·Wi − Xi·Wj, Yj·Wi − Yi·Wj) in lowest terms, and a class's count is n
-    minus the number of its second ends j (:func:`pair_directions` says
-    why).  Most classes of a random set hold one chord, so a key maps to its
-    first second end as a plain int, and to a set only once a chord with
-    another second end arrives.  Classes come in the order of their first
-    chords.
+    (Xj·Wi − Xi·Wj, Yj·Wi − Yi·Wj) in lowest terms, the pair
+    :func:`geometry._canonical` gives, computed in the loop with one gcd and
+    a sign fix; a zero chord (two equal points) raises as it does.  A
+    class's count is n minus the number of its second ends j
+    (:func:`pair_directions` says why).  Most classes of a random set hold
+    one chord, so a key maps to its first second end as a plain int, and to
+    a set only once a chord with another second end arrives.  Classes come
+    in the order of their first chords.
     """
     n = len(triples)
     seconds: dict[tuple[int, int], int | set[int]] = {}
     for i, (xi, yi, wi) in enumerate(triples):
         for j in range(i + 1, n):
             xj, yj, wj = triples[j]
-            key = _canonical(xj * wi - xi * wj, yj * wi - yi * wj)
+            dx, dy = xj * wi - xi * wj, yj * wi - yi * wj
+            g = gcd(dx, dy)
+            if dx < 0 or not dx and dy < 0:
+                g = -g
+            elif not g:
+                raise DegenerateInputError("zero direction")
+            key = (dx // g, dy // g)
             js = seconds.setdefault(key, j)
             if type(js) is set:
                 js.add(j)

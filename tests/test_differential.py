@@ -40,6 +40,12 @@ oracle, and ``generic_direction``, which now takes (dx, dy) pairs, must pick
 what its earlier form, a set of ``Direction`` objects kept here, picks, on
 these corpora and on mixed rational and cyclotomic lists.
 
+``AffineMap.apply`` computes a rational image coordinate on integer
+numerators and denominators; its values must equal the scalar arithmetic
+m00*x + m01*y + t it replaced, on random maps and points at bounds 1, 50
+and 10**30, and a map or point with one cyclotomic scalar must keep that
+scalar arithmetic.
+
 The certificate references are the earlier O(n^2) slope scans of
 ``verify`` (its parallel witness) and of ``concurrent_family``; the
 production code finds both from one pass over the slopes, so the witness
@@ -61,7 +67,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import combinations, islice
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -76,8 +82,10 @@ from dircover.counterexample import (
     write_bundle,
 )
 from dircover.errors import DegenerateInputError, OrderMismatchError
+from dircover import geometry
 from dircover.field import CycloElement, _real_bounds, cyclotomic_poly, euler_phi, residue, residue_primes
 from dircover.geometry import (
+    AffineMap,
     Direction,
     NonVerticalLine,
     Point,
@@ -334,6 +342,59 @@ def test_generic_direction_agrees_on_mixed_lists(dirs):
     cand = generic_direction([(d.dx, d.dy) for d in dirs])
     assert cand == set_generic_direction(dirs)
     assert not any(cand.parallel_to(d) for d in dirs)
+
+
+def scalar_apply(amap, p):
+    """AffineMap.apply as it was: m00*x + m01*y + tx and m10*x + m11*y + ty in the scalars' own arithmetic."""
+    (m00, m01), (m10, m11) = amap.m
+    tx, ty = amap.t
+    return m00 * p.x + m01 * p.y + tx, m10 * p.x + m11 * p.y + ty
+
+
+@pytest.mark.parametrize("bound", [1, 50, 10**30])
+def test_rational_affine_images_agree_with_scalar_arithmetic(bound):
+    # maps and points of ints and Fractions, negative ones included, every fourth map without translation
+    rng = random.Random(bound)
+
+    def scalar():
+        n = rng.randint(-bound, bound)
+        return n if rng.random() < 0.3 else Fraction(n, rng.randint(1, bound))
+
+    images = 0
+    for trial in range(300):
+        (m00, m01), (m10, m11) = m = (scalar(), scalar()), (scalar(), scalar())
+        if m00 * m11 == m01 * m10:
+            continue
+        amap = AffineMap(m, (0, 0) if trial % 4 == 0 else (scalar(), scalar()))
+        for _ in range(3):
+            p = Point(scalar(), scalar())
+            image = amap.apply(p)
+            assert (image.x, image.y) == scalar_apply(amap, p)
+            for value in (image.x, image.y):
+                n, d = value.as_integer_ratio()
+                assert type(value) is Fraction and d > 0 and gcd(n, d) == 1
+            images += 1
+    assert images > 300
+
+
+def test_cyclotomic_affine_images_take_the_field_path(monkeypatch):
+    # one CycloElement among the eight scalars, in the translation, the matrix or the point, is enough
+    def refuse(*args):
+        raise AssertionError("a cyclotomic scalar took the rational path")
+
+    monkeypatch.setattr(geometry, "_affine_row", refuse)
+    z = zeta(12)
+    rational = AffineMap(((2, Fraction(-1, 3)), (Fraction(5, 7), 1)), (Fraction(1, 2), -4))
+    cases = [
+        (AffineMap(rational.m, (Fraction(1, 2), z)), Point(Fraction(3, 5), -2)),
+        (AffineMap(((2, z), (Fraction(5, 7), 1)), rational.t), Point(Fraction(3, 5), -2)),
+        (rational, Point(Fraction(3, 5), z)),
+        (rational, polygon(12)[1]),
+    ]
+    for amap, p in cases:
+        image = amap.apply(p)
+        assert (image.x, image.y) == scalar_apply(amap, p)
+        assert type(image.x) is type(image.y) is CycloElement
 
 
 def fraction_det3(ax, ay, bx, by, cx, cy):

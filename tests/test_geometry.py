@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from dircover.counterexample import CounterexampleBundle, VerificationReport
+from dircover.counterexample import CounterexampleBundle, VerificationReport, construct
 from dircover.errors import DegenerateInputError, OrderMismatchError
 from dircover.field import CycloElement
 from dircover.geometry import (
@@ -262,6 +262,32 @@ VALUES = {
         lambda: CounterexampleBundle(PolygonConfig(3), RationalRotation(1, 0), (NonVerticalLine(2, 1),), None, ()),
     ),
 }
+
+# Points whose duals are checked: rational, dual to a line of construct(7), and a mixed pair Point lifts.
+SEVEN = construct(7).lines
+DUAL_SOURCES = {
+    "rational": lambda: Point(Fraction(-7, 3), 5),
+    "construct(7)": lambda: dual_line_to_point(SEVEN[2]),
+    "lifted": lambda: Point(Fraction(1, 2), zeta(12)),
+}
+# Records the duality maps build, each with the same record built by its constructor.
+VALUES |= {
+    "dual line of a rational point": (
+        lambda: dual_point_to_line(Point(Fraction(-7, 3), 5)),
+        lambda: NonVerticalLine(Fraction(-14, 6), 5),
+        lambda: dual_point_to_line(Point(5, Fraction(-7, 3))),
+    ),
+    "dual point of a construct(7) line": (
+        lambda: dual_line_to_point(SEVEN[2]),
+        lambda: Point(SEVEN[2].a, SEVEN[2].b),
+        lambda: dual_line_to_point(SEVEN[3]),
+    ),
+    "dual line of a lifted point": (
+        lambda: dual_point_to_line(Point(Fraction(1, 2), zeta(12))),
+        lambda: NonVerticalLine(Fraction(1, 2), zeta(12)),
+        lambda: dual_point_to_line(Point(zeta(12), Fraction(1, 2))),
+    ),
+}
 HASHABLE = [name for name in VALUES if name != "SpectrumReport"]  # a SpectrumReport holds a dict
 
 
@@ -301,6 +327,15 @@ class TestValueTypes:
     def test_copy_and_pickle_round_trip(self, name):
         value = VALUES[name][0]()
         assert copy.copy(value) == value == pickle.loads(pickle.dumps(value))
+
+    @pytest.mark.parametrize("source", DUAL_SOURCES)
+    def test_duals_take_the_source_fields(self, source):
+        p = DUAL_SOURCES[source]()
+        line = dual_point_to_line(p)
+        assert line == NonVerticalLine(p.x, p.y) and hash(line) == hash(NonVerticalLine(p.x, p.y))
+        assert line.a is p.x and line.b is p.y
+        back = dual_line_to_point(line)
+        assert back == p and hash(back) == hash(p) and back.x is p.x and back.y is p.y
 
     def test_repr(self):
         assert repr(Point(Fraction(1, 2), 3)) == "Point(x=Fraction(1, 2), y=Fraction(3, 1))"
