@@ -119,7 +119,8 @@ def affine_check(seed: int, trials: int = 100, size: int = 6, bound: int = 50) -
 
     A spectrum is read as {size} and the class counts of
     :func:`spectrum.pair_directions`, as in :func:`pinchasi_check`; no
-    witness partition is built.
+    witness partition is built.  A wrong translation leaves spectra alone, so
+    the image of a trial's first point must also equal m @ p + t, computed here.
     """
     rng = random.Random(seed)
     rep = CheckReport("affine")
@@ -127,7 +128,11 @@ def affine_check(seed: int, trials: int = 100, size: int = 6, bound: int = 50) -
         pts = random_point_set(rng, size, bound)
         amap = random_invertible_map(rng, bound)
         image = affine_apply(amap, pts)
-        if {size, *pair_directions(pts).values()} == {size, *pair_directions(image).values()}:
+        (m00, m01), (m10, m11) = amap.m
+        (tx, ty), p = amap.t, pts[0]
+        if image[0] != Point(m00 * p.x + m01 * p.y + tx, m10 * p.x + m11 * p.y + ty):
+            rep.fail(f"image {image[0]} of {p} under {amap} is not m @ p + t")
+        elif {size, *pair_directions(pts).values()} == {size, *pair_directions(image).values()}:
             rep.passed += 1
         else:
             rep.fail(f"spectrum changed under {amap} for {pts}")

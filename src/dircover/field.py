@@ -11,8 +11,8 @@ coefficient comparisons with no tolerance anywhere.
 
 The geometric predicates built on top only ever need ring operations,
 conjugation and exact zero tests, so division in Q(zeta_n) is
-deliberately absent; :func:`residue` maps scalars into F_p, where chords
-are bucketed by slope, and decides nothing.
+deliberately absent; :func:`_slope_key` maps coordinates into F_p, where
+chords are bucketed by slope, and decides nothing.
 """
 
 from __future__ import annotations
@@ -154,11 +154,6 @@ class CycloElement:
     def from_rational(cls, order: int, value: RationalLike) -> "CycloElement":
         nums = [value.numerator] + [0] * (euler_phi(order) - 1)
         return _new()._make(order, nums, value.denominator)
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The phi(n) rational coefficients on the basis 1, zeta, ..., zeta^(phi(n)-1)."""
-        return tuple(Fraction(v, self._den) for v in self._num)
 
     def _combine(self, other, sign: int):
         """self + sign * other, for sign 1 or -1."""
@@ -306,44 +301,30 @@ def _horner(coeffs: Sequence[int], w: int, p: int) -> int:
     return acc
 
 
-def residue(value: Union[Fraction, CycloElement], p: int, w: int) -> Optional[int]:
-    """The image of a scalar in F_p under zeta_m -> w, or None when p divides its denominator.
-
-    With w a root of Phi_m mod p this is a ring homomorphism, so an exact
-    identity such as dx1 * dy2 = dy1 * dx2 holds mod p too.
-    """
-    if isinstance(value, Fraction):
-        nums, den = (value.numerator,), value.denominator
-    else:
-        nums, den = value._num, value._den
-    if den % p == 0:
-        return None
-    return _horner(nums, w, p) * pow(den, -1, p) % p
-
-
-def _slope_key(points: Sequence[Point]) -> Callable[[int, int], Optional[int]]:
+def _slope_key(vectors: Sequence[tuple], order: int) -> Callable[[int, int], Optional[int]]:
     """The slope mod p of the chord (i, j), or None when it is vertical mod p.
 
-    p is the first prime from :func:`residue_primes` that divides no
-    denominator and keeps the points' residue pairs distinct, so no chord
-    maps to (0, 0).  Parallel chords always share a key; others only by a
-    collision mod p.  Equal points collide under every prime, so two points
-    whose residue pairs collide are compared exactly, and equal ones raise
-    at once, as the rational path does.
+    ``vectors`` are each point's x, then its y, in Q(zeta_m), m = order, as
+    :func:`_cyclotomic_classes` reads them.  p is the first prime from
+    :func:`residue_primes` that divides no denominator and keeps the points'
+    residue pairs distinct, so no chord maps to (0, 0).  A vector at w, a
+    root of Phi_m mod p, over its denominator is a ring homomorphism, so
+    parallel chords always share a key; others only by a collision mod p.
+    Points whose residue pairs collide are compared as vector pairs (both
+    normal forms are unique), and equal ones raise at once, as rational ones do.
     """
-    orders = {pt.x.order for pt in points if isinstance(pt.x, CycloElement)}
-    if len(orders) > 1:
-        raise OrderMismatchError(f"points from different fields: orders {sorted(orders)}")
-    for p, w in residue_primes(orders.pop()):
-        res = [(residue(pt.x, p, w), residue(pt.y, p, w)) for pt in points]
-        if any(None in r for r in res):
+    points = list(zip(vectors[0::2], vectors[1::2]))
+    for p, w in residue_primes(order):
+        if any(den % p == 0 for _, den in vectors):
             continue
+        flat = [_horner(nums, w, p) * pow(den, -1, p) % p for nums, den in vectors]
+        res = list(zip(flat[0::2], flat[1::2]))
         first: dict[tuple[int, int], int] = {}
         for i, r in enumerate(res):
             j = first.setdefault(r, i)
             if j != i and points[j] == points[i]:
                 raise DegenerateInputError("zero direction")
-        if len(first) == len(points):
+        if len(first) == len(res):
             break
 
     def key(i: int, j: int) -> Optional[int]:
@@ -387,14 +368,14 @@ def _cofactor(order: int) -> list[int]:
     return quo
 
 
-def _packed_coordinates(points: Sequence[Point], order: int) -> Optional[tuple[int, list[int], list[int], int]]:
+def _packed_coordinates(vectors: Sequence[tuple], order: int) -> Optional[tuple[int, list[int], list[int], int]]:
     """(k, xs, ys, Phi_m(2**k)): every coordinate packed at x = 2**k, or None past :data:`_PACKED_BUDGET`.
 
-    Each coordinate, lifted to Q(zeta_m) with m = order and phi = phi(m), is
-    scaled by the common denominator D of all of them to an integer vector
-    of phi coefficients and packed as its value at x = 2**k.  Packing is
-    linear, so a chord's packed dx and dy are differences of packed points.
-    k is the least width that makes :func:`_cyclotomic_classes`' test exact.
+    Each of ``vectors``, a coordinate in Q(zeta_m), m = order (see
+    :func:`_cyclotomic_classes`), is scaled by the common denominator D of
+    all of them to an integer vector and packed as its value at x = 2**k.
+    Packing is linear, so a chord's packed dx and dy are differences of
+    packed points.  k is the least width that makes the test exact.
 
     Gate.  Before anything is scaled or packed, bit lengths bound k: a scaled
     coefficient num * (D / den) is below 2**w with w = bits(num) + bits(D / den),
@@ -405,13 +386,7 @@ def _packed_coordinates(points: Sequence[Point], order: int) -> Optional[tuple[i
     before the lcm D is taken.
     """
     phi = euler_phi(order)
-    vectors = [
-        (v._num, v._den) if isinstance(v, CycloElement) else ((v.numerator,) + (0,) * (phi - 1), v.denominator)
-        for p in points
-        for v in (p.x, p.y)
-    ]
-    cofactor = _cofactor(order)
-    factor = 2 * phi * sum(map(abs, cofactor))
+    factor = 2 * phi * sum(map(abs, _cofactor(order)))
 
     def beyond(widths: list[int]) -> bool:
         return (factor.bit_length() + max(widths[0::2]) + max(widths[1::2]) + 2) ** 2 * phi > _PACKED_BUDGET
@@ -437,15 +412,17 @@ def _packed_coordinates(points: Sequence[Point], order: int) -> Optional[tuple[i
 def _cyclotomic_classes(pts: Sequence[Point]) -> dict[tuple, int]:
     """:func:`spectrum.pair_directions` when some point is cyclotomic: its classes, keys and counts.
 
-    Chords are bucketed by slope mod a prime (:func:`_slope_key`), which
-    parallel chords share, so the exact test runs only against the classes
-    in the chord's bucket, usually one.  It is on packed integers
-    (:func:`_packed_coordinates`): a chord (dx, dy) is parallel to class r
-    iff dx * ry - dy * rx = 0 mod N = Phi_m(2**k), with (rx, ry) the class's
-    first chord.  The first chord each class absorbs is also tested in the
-    field (:meth:`Direction.parallel_to`), and a disagreement raises
-    ArithmeticError.  Past :data:`_PACKED_BUDGET`, every chord is tested in
-    the field instead, as a Direction against each class in its bucket.
+    One pass checks that the points share one order m and reads every
+    coordinate once, as its ``(numerators, den)`` in Q(zeta_m), a rational
+    one padded to phi(m) entries: the ``vectors`` that :func:`_slope_key` and
+    :func:`_packed_coordinates` take.  Then one loop buckets each chord by
+    its slope mod a prime, which parallel chords share, and tests it only
+    against the first chords of the classes in its bucket, usually one.  The
+    gate picks the test once.  Within :data:`_PACKED_BUDGET` it is on packed
+    integers: (dx, dy) is parallel to (rx, ry) iff dx * ry - dy * rx = 0 mod
+    N = Phi_m(2**k), and the first chord each class absorbs is also tested
+    in the field, with a disagreement raising ArithmeticError.  Past the
+    budget a chord is a Direction, tested by :meth:`Direction.parallel_to`.
 
     Exactness.  Chords (dx1, dy1) and (dx2, dy2), as scaled integer
     coefficient vectors, are parallel iff X = dx1*dy2 - dy1*dx2, of degree
@@ -475,47 +452,48 @@ def _cyclotomic_classes(pts: Sequence[Point]) -> dict[tuple, int]:
     ||F|| <= B = 2*phi*Hx*Hy * ||Q||_1, and k is the least width with
     2**k - 1 > B.
     """
+    orders = {pt.x.order for pt in pts if isinstance(pt.x, CycloElement)}
+    if len(orders) > 1:
+        raise OrderMismatchError(f"points from different fields: orders {sorted(orders)}")
+    order = orders.pop()
+    pad = (0,) * (euler_phi(order) - 1)
+    vectors = [
+        (v._num, v._den) if isinstance(v, CycloElement) else ((v.numerator, *pad), v.denominator)
+        for pt in pts
+        for v in (pt.x, pt.y)
+    ]
     n = len(pts)
-    slope = _slope_key(pts)
-    order = next(p.x.order for p in pts if isinstance(p.x, CycloElement))
-    packed = _packed_coordinates(pts, order)
-    reps: list[Direction] = []
-    seconds: list[set[int]] = []
-    buckets: dict[Optional[int], list[int]] = {}
+    slope = _slope_key(vectors, order)
+    packed = _packed_coordinates(vectors, order)
     if packed is None:
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = Direction.between(pts[i], pts[j])
-                bucket = buckets.setdefault(slope(i, j), [])
-                r = next((r for r in bucket if d.parallel_to(reps[r])), len(reps))
-                if r == len(reps):
-                    bucket.append(r)
-                    reps.append(d)
-                    seconds.append(set())
-                seconds[r].add(j)
+        chord, parallel = lambda i, j: Direction.between(pts[i], pts[j]), Direction.parallel_to
     else:
         k, xs, ys, modulus = packed
-        firsts: list[tuple[int, int]] = []  # each class's first chord, packed
-        checked: set[int] = set()
-        for i, (xi, yi) in enumerate(zip(xs, ys)):
-            for j in range(i + 1, n):
-                dx, dy = xs[j] - xi, ys[j] - yi
-                bucket = buckets.setdefault(slope(i, j), [])
-                for r in bucket:
-                    rx, ry = firsts[r]
-                    if (dx * ry - dy * rx) % modulus == 0:
-                        if r not in checked:
-                            checked.add(r)
-                            if not Direction.between(pts[i], pts[j]).parallel_to(reps[r]):
-                                raise ArithmeticError(f"packed parallel test at k = {k} disagrees with the field")
-                        break
-                else:
-                    r = len(reps)
-                    bucket.append(r)
-                    reps.append(Direction.between(pts[i], pts[j]))
-                    firsts.append((dx, dy))
-                    seconds.append(set())
-                seconds[r].add(j)
+        chord = lambda i, j: (xs[j] - xs[i], ys[j] - ys[i])
+        parallel = lambda c, r: (c[0] * r[1] - c[1] * r[0]) % modulus == 0
+    reps: list[Direction] = []
+    firsts: list = []  # each class's first chord, as ``parallel`` takes it
+    seconds: list[set[int]] = []
+    buckets: dict[Optional[int], list[int]] = {}
+    checked: set[int] = set()
+    for i in range(n):
+        for j in range(i + 1, n):
+            c = chord(i, j)
+            bucket = buckets.setdefault(slope(i, j), [])
+            for r in bucket:
+                if parallel(c, firsts[r]):
+                    if packed and r not in checked:
+                        checked.add(r)
+                        if not Direction.between(pts[i], pts[j]).parallel_to(reps[r]):
+                            raise ArithmeticError(f"packed parallel test at k = {k} disagrees with the field")
+                    break
+            else:
+                r = len(reps)
+                bucket.append(r)
+                reps.append(Direction.between(pts[i], pts[j]) if packed else c)
+                firsts.append(c)
+                seconds.append(set())
+            seconds[r].add(j)
     return {(d.dx, d.dy): n - len(js) for d, js in zip(reps, seconds)}
 
 

@@ -12,9 +12,9 @@ partitions are built only as witnesses, one per distinct count.  Every
 class decision is exact.  Rational points become integer triples (X, Y, W),
 W the lcm of a point's own denominators, and a class is keyed by its
 canonical integer direction (:func:`_rational_classes`).  Cyclotomic chords
-are classed on packed integers by :func:`field._cyclotomic_classes`, which
-is imported only for them, so rational input never loads the field.  No
-float takes part in classing.
+are classed by :func:`field._cyclotomic_classes`, on packed integers or in
+the field, imported only for them, so rational input never loads the field.
+No float takes part in classing.
 Distinctness is checked once, in :func:`spectrum` and :func:`stab_spectrum`.
 """
 
@@ -116,10 +116,11 @@ def pair_directions(points: Sequence[Point]) -> dict[tuple, int]:
     chord, and the classes come in that order.  For rational points the keys
     and counts are :func:`_rational_classes`', so a key is the class's
     canonical integer direction.  Otherwise they are
-    :func:`field._cyclotomic_classes`', imported only then: a key is the
-    (dx, dy) of the class's first chord as its :class:`Direction` holds them,
-    so ``Direction(dx, dy)`` rebuilds that Direction; keys of two classes are
-    never parallel, so never equal.
+    :func:`field._cyclotomic_classes`', imported only then, which reads each
+    coordinate once and tests the chords in one loop, on packed integers or
+    in the field: a key is the (dx, dy) of the class's first chord as its
+    :class:`Direction` holds them, so ``Direction(dx, dy)`` rebuilds it; keys
+    of two classes are never parallel, so never equal.
 
     Within a class, the points on one cover line are pairwise joined by the
     class's chords, so every point but the first on its line is the second

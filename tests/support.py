@@ -5,6 +5,7 @@ referred to by the package itself (``tests/test_traced_layers.py`` checks
 this).  What the tests still need as an independent reference lives here.
 """
 
+from fractions import Fraction
 from typing import Sequence
 
 from dircover.field import CycloElement, _from_powers, _real_bounds
@@ -16,6 +17,11 @@ EPSILON = 1e-6  # float_crosscheck's cluster tolerance
 def zeta(order: int, power: int = 1) -> CycloElement:
     """zeta_n^k as a reduced element of Q(zeta_n)."""
     return _from_powers(order, [(power, 1)])
+
+
+def coefficients(value: CycloElement) -> tuple[Fraction, ...]:
+    """The phi(n) rational coefficients of an element on the basis 1, zeta, ..., zeta^(phi(n)-1)."""
+    return tuple(Fraction(v, value._den) for v in value._num)
 
 
 def float_crosscheck(lines: Sequence[NonVerticalLine]) -> tuple[frozenset, tuple]:

@@ -24,8 +24,10 @@ ones embedded in a cyclotomic field; random chord pairs of small polygons,
 all in one bucket, must agree too.  On such pairs the folded cross product
 F that the exactness proof bounds must stay inside the width the points
 were packed at, and vanish exactly when the packed remainder modulo
-Phi_m(2**k) does.  Hostile bundles, a 32-digit rotation and 30-digit
-noise, take the field path and verify within seconds.
+Phi_m(2**k) does.  A packed test made to pass every chord (modulus 1)
+must be caught by the field re-check of each class's first absorbed chord.
+Hostile bundles, a 32-digit rotation and 30-digit noise, take the field
+path and verify within seconds.
 
 Rational input runs on integer triples (X, Y, W), one per point.  The
 two-pass reference keeps the earlier ``Fraction`` arithmetic (chord
@@ -83,7 +85,7 @@ from dircover.counterexample import (
 )
 from dircover.errors import DegenerateInputError, OrderMismatchError
 from dircover import geometry
-from dircover.field import CycloElement, _real_bounds, cyclotomic_poly, euler_phi, residue, residue_primes
+from dircover.field import CycloElement, _real_bounds, cyclotomic_poly, euler_phi, residue_primes
 from dircover.geometry import (
     AffineMap,
     Direction,
@@ -494,10 +496,15 @@ def scan(pts, budget):
         return list(pair_directions(pts).items())
 
 
+def lifted(pts, order):
+    """Each point's x, then its y, as an element of Q(zeta_order)."""
+    return [c if isinstance(c, CycloElement) else CycloElement.from_rational(order, c) for p in pts for c in (p.x, p.y)]
+
+
 def packs(pts):
     """Whether pair_directions packs these cyclotomic points at the module's own budget."""
     order = next(p.x.order for p in pts if isinstance(p.x, CycloElement))
-    return KERNEL._packed_coordinates(pts, order) is not None
+    return KERNEL._packed_coordinates([(c._num, c._den) for c in lifted(pts, order)], order) is not None
 
 
 @pytest.mark.parametrize("n, center", [(24, False), (31, True)])
@@ -506,7 +513,7 @@ def test_one_bucket_decides_every_pair_exactly(n, center, monkeypatch):
     assert packs(pts)
     bucketed = list(pair_directions(pts).items())
     calls = count_parallel_tests(monkeypatch)
-    monkeypatch.setattr(KERNEL, "_slope_key", lambda points: lambda i, j: 0)
+    monkeypatch.setattr(KERNEL, "_slope_key", lambda *_: lambda i, j: 0)
     assert list(pair_directions(pts).items()) == bucketed
     monkeypatch.setattr(KERNEL, "_PACKED_BUDGET", FIELD)
     calls[0] = 0
@@ -520,7 +527,7 @@ def skipped_prime_points(reason):
     p, w = next(residue_primes(pts[0].x.order))
     if reason == "denominator":
         pts[3] = Point(pts[3].x + Fraction(1, p), pts[3].y)
-        assert residue(pts[3].x, p, w) is None
+        assert pts[3].x._den % p == 0
     else:
         # The chord from pts[0] to a point congruent to it mod p maps to
         # (0, 0); it is parallel to the chord to a third point whose slope
@@ -638,6 +645,16 @@ def test_construct_takes_the_packed_scan(n, monkeypatch):
     assert calls[0] == sum(1 for c in classes.values() if n - c >= 2) > 0
 
 
+def test_packed_test_that_disagrees_with_the_field_raises(monkeypatch):
+    # Modulus 1 passes every chord as parallel to the first class in its one
+    # bucket; the field re-check of that class's first absorbed chord refuses.
+    true_packing = KERNEL._packed_coordinates
+    monkeypatch.setattr(KERNEL, "_slope_key", lambda *_: lambda i, j: 0)
+    monkeypatch.setattr(KERNEL, "_packed_coordinates", lambda *args: (*true_packing(*args)[:3], 1))
+    with pytest.raises(ArithmeticError, match=r"packed parallel test at k = \d+ disagrees with the field"):
+        pair_directions(polygon(12))
+
+
 def test_packed_width_is_exact_at_its_bound():
     # In Q(zeta_1) = Q the chords (1, 0), (0, b) and (-1, b) have cross
     # products b, b and b, and the bound is 2 * Hx * Hy = 2b.  For b = 2**j - 1
@@ -646,7 +663,7 @@ def test_packed_width_is_exact_at_its_bound():
     b = 2**40 - 1
     pts = embedded([Point(0, 0), Point(1, 0), Point(0, b)], 1)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(KERNEL, "_slope_key", lambda points: lambda i, j: 0)
+        mp.setattr(KERNEL, "_slope_key", lambda *_: lambda i, j: 0)
         classes = pair_directions(pts)
     assert [Direction(dx, dy) for dx, dy in classes] == two_pass_directions(pts)
     assert len(classes) == 3
@@ -710,7 +727,7 @@ def test_packed_test_decides_random_chord_pairs(case):
     # One bucket holds every chord, so every pair of classes meets the packed test.
     _, pts = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(KERNEL, "_slope_key", lambda points: lambda a, b: 0)
+        mp.setattr(KERNEL, "_slope_key", lambda *_: lambda a, b: 0)
         assert scan(pts, PACKED) == scan(pts, FIELD)
 
 
@@ -723,7 +740,7 @@ def test_width_bounds_every_folded_cross_product(case):
     # packed test's remainder X(2**k) mod Phi_m(2**k) is zero.
     order, pts = case
     phi = euler_phi(order)
-    coords = [CycloElement.from_rational(order, c) if isinstance(c, Fraction) else c for p in pts for c in (p.x, p.y)]
+    coords = lifted(pts, order)
     den = lcm(*(c._den for c in coords))
     vecs = [[v * (den // c._den) for v in c._num] for c in coords]
     chords = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
@@ -735,7 +752,7 @@ def test_width_bounds_every_folded_cross_product(case):
     q = [(e, c) for e, c in enumerate(q) if c]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(KERNEL, "_PACKED_BUDGET", PACKED)
-        k = KERNEL._packed_coordinates(pts, order)[0]
+        k = KERNEL._packed_coordinates([(c._num, c._den) for c in coords], order)[0]
     modulus = sum(c << (k * e) for e, c in enumerate(cyclotomic_poly(order)))
     for (i, j), (r, s) in combinations(chords, 2):
         dx1, dy1 = ([b - a for a, b in zip(vecs[2 * i + t], vecs[2 * j + t])] for t in (0, 1))

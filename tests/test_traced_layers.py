@@ -11,8 +11,10 @@ outside its own body.
 
 The same walk of the syntax trees keeps test-only code out of the package:
 every function, class and method defined there must be referred to by name
-somewhere in the package outside its own body.  Reference code that only
-tests need lives in ``tests/support.py``.
+somewhere in the package outside its own body, and a method or property
+only through an attribute access (``obj.name``), so that a local variable or
+parameter of the same name does not count.  Reference code that only tests
+need lives in ``tests/support.py``.
 """
 
 import ast
@@ -65,36 +67,40 @@ def test_traced_metric_names_existing_code(key):
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _walk() -> tuple[dict, dict, list]:
+def _walk() -> tuple[dict, dict, dict, list]:
     """One pass over the package's syntax trees.
 
-    Returns the names it calls, as a bare name or an attribute, and the names
-    it loads, calls included, each with (module, enclosing definitions) per
-    site; and every function, class and method it defines, as (module, path).
+    Returns the names it calls, as a bare name or an attribute, the names it
+    loads, calls included, and the names it loads as an attribute, each with
+    (module, enclosing definitions) per site; and every function, class and
+    method it defines, as (module, path, whether a class body defines it).
     """
-    calls, loads, definitions = defaultdict(list), defaultdict(list), []
+    calls, loads, attributes, definitions = defaultdict(list), defaultdict(list), defaultdict(list), []
 
-    def visit(node, module: str, scope: tuple) -> None:
+    def visit(node, module: str, scope: tuple, in_class: bool) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call):
                 func = child.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 if name:
                     calls[name].append((module, scope))
-            elif isinstance(child, (ast.Name, ast.Attribute)) and isinstance(child.ctx, ast.Load):
-                loads[child.id if isinstance(child, ast.Name) else child.attr].append((module, scope))
+            elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                loads[child.id].append((module, scope))
+            elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                loads[child.attr].append((module, scope))
+                attributes[child.attr].append((module, scope))
             if isinstance(child, _DEFINITIONS):
-                definitions.append((module, scope + (child.name,)))
-                visit(child, module, scope + (child.name,))
+                definitions.append((module, scope + (child.name,), in_class))
+                visit(child, module, scope + (child.name,), isinstance(child, ast.ClassDef))
             else:
-                visit(child, module, scope)
+                visit(child, module, scope, in_class)
 
     for path in sorted((ROOT / "src" / "dircover").glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, ())
-    return calls, loads, definitions
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, (), False)
+    return calls, loads, attributes, definitions
 
 
-CALL_SITES, LOAD_SITES, DEFINED = _walk()
+CALL_SITES, LOAD_SITES, ATTRIBUTE_SITES, DEFINED = _walk()
 
 
 def _outside(sites: list, layer: str, own: tuple) -> list:
@@ -121,10 +127,11 @@ def test_traced_metric_names_called_code(key):
 def test_every_definition_is_referenced():
     # src/ holds no test-only code.  Matched by name, as above, but a load counts
     # as well as a call: the cmd_* functions and the check suites are only named.
+    # A method or property counts only as an attribute: a local of its name is no use of it.
     unreferenced = [
         f"{layer}.{'.'.join(own)}"
-        for layer, own in DEFINED
+        for layer, own, method in DEFINED
         if not (own[-1].startswith("__") and own[-1].endswith("__"))
-        and not _outside(LOAD_SITES[own[-1]], layer, own)
+        and not _outside((ATTRIBUTE_SITES if method else LOAD_SITES)[own[-1]], layer, own)
     ]
     assert not unreferenced, f"nothing in src/dircover refers to {', '.join(unreferenced)}"
