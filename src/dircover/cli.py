@@ -1,14 +1,15 @@
 """Command-line front end: ``dircover <subcommand> ...``.
 
-Exit codes: 0 success, 1 failed check/verification, 2 parse, usage or I/O
-error, 3 degenerate input.  Decimals are correctly rounded: ``polygon``
-prints 39 significant digits, ``counterexample`` 12.  Each command imports
-only the dircover modules it calls: ``dualize`` loads ``fileio`` and
-``geometry``, ``spectrum`` and ``stab`` those and ``spectrum``, and ``check``
-``checks``, ``geometry``, ``oracle``, ``randgen`` and ``spectrum``.  Only the
-polygon commands load the cyclotomic ``field``: ``polygon`` with ``geometry``
-and ``polygon``, ``counterexample`` and ``verify`` with those, ``spectrum``
-and ``counterexample``.
+Exit codes: 0 success, 1 failed check/verification or internal error (two
+exact computations of one result disagree; :func:`main` alone reports it), 2
+parse, usage or I/O error, 3 degenerate input.  Decimals are correctly
+rounded: ``polygon`` prints 39 significant digits, ``counterexample`` 12.
+Each command imports only the dircover modules it calls: ``dualize`` loads
+``fileio`` and ``geometry``, ``spectrum`` and ``stab`` those and
+``spectrum``, and ``check`` ``checks``, ``geometry``, ``oracle``, ``randgen``
+and ``spectrum``.  Only the polygon commands load the cyclotomic ``field``:
+``polygon`` with ``geometry`` and ``polygon``, ``counterexample`` and
+``verify`` with those, ``spectrum`` and ``counterexample``.
 """
 
 from __future__ import annotations
@@ -142,7 +143,8 @@ def cmd_polygon(args) -> int:
         polygon_spectrum_enumerated,
     )
 
-    if args.n > 2000:  # pinned to one CPU of a 2-core host, n = 2000 runs in 1.4 s, n = 1999 (in Q(zeta_7996)) in 4.6 s
+    # Pinned to one CPU of a 2-core host, n = 2000 runs in 0.76-0.87 s and n = 1999 (in Q(zeta_7996)) in 2.7-3.2 s.
+    if args.n > 2000:
         raise ValueError(f"polygon supports n <= 2000, got {args.n}")
     cfg = PolygonConfig(args.n, args.center)
     enumerated = polygon_spectrum_enumerated(cfg)
@@ -151,12 +153,7 @@ def cmd_polygon(args) -> int:
     except ValueError:
         closed = None
     if closed is not None and closed != enumerated:
-        print(
-            "internal error: closed form disagrees with enumeration "
-            f"({sorted(closed)} vs {sorted(enumerated)})",
-            file=sys.stderr,
-        )
-        return 1
+        raise ArithmeticError(f"closed form disagrees with enumeration ({sorted(closed)} vs {sorted(enumerated)})")
     rot = choose_rotation(cfg)
     pts = instantiate_polygon(cfg, rot)
     approx = [[approx_str(s, 39) for s in (p.x, p.y)] for p in pts]
@@ -340,6 +337,9 @@ def main(argv=None) -> int:
     except (DirCoverError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # two exact computations of one result disagree: a bug, not bad input
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -19,7 +19,9 @@ from .field import CycloElement, _from_ratios, approx_str, euler_phi
 from .geometry import (
     NonVerticalLine, _format_ratio, _Frozen, _parse_ratio, concurrent_family, dual_point_to_line, format_rational
 )
-from .polygon import PolygonConfig, RationalRotation, choose_rotation, field_order, instantiate_polygon
+from .polygon import (
+    PolygonConfig, RationalRotation, choose_rotation, field_order, instantiate_polygon, polygon_spectrum_enumerated
+)
 from .spectrum import stab_spectrum
 
 
@@ -78,10 +80,11 @@ _MAX_N = 300
 """The most lines :func:`family_config` builds and :func:`read_bundle` loads.
 
 The cost is set by phi(lcm(4, n)), not by n alone, so odd n is the slow
-end.  Pinned to one CPU of a 2-core host, through the CLI,
-``counterexample --n 300`` takes 0.7-1.0 s and ``verify`` of its bundle
-0.8-0.9 s.  The slowest n up to the cap is odd: n = 299 (in Q(zeta_1196)),
-where each takes 14-16 s.
+end.  Pinned to one CPU of a 2-core host (CPython 3.11), through the CLI,
+three runs each: ``counterexample --n 300`` takes 0.60-0.62 s and
+``verify`` of its bundle 0.78-0.87 s.  The slowest n up to the cap is odd:
+n = 299 (in Q(zeta_1196)), where ``counterexample`` takes 12.4-13.9 s and
+``verify`` 12.1-12.8 s.
 """
 
 
@@ -109,11 +112,19 @@ def construct(n: int, variant: str = "plain") -> CounterexampleBundle:
     of n-1 vertices plus its center (n odd only); its certificate is honest
     and fails for n = 7, where the hexagon-plus-center spectrum {3, 5, 7}
     contains n-2.
+
+    The certificate's stab counts are checked against the polygon's spectrum
+    by :func:`polygon.polygon_spectrum_enumerated`, residue arithmetic in O(n)
+    that shares no code with the exact classing; a disagreement raises
+    ArithmeticError, so a classing bug fails loudly, not as a wrong certificate.
     """
     config = family_config(n, variant)
     rotation = choose_rotation(config)
     lines = tuple(dual_point_to_line(p) for p in instantiate_polygon(config, rotation))
-    return CounterexampleBundle(config, rotation, lines, verify(lines), approximate_lines(lines))
+    cert, residue = verify(lines), polygon_spectrum_enumerated(config)
+    if cert.stab_counts != residue:
+        raise ArithmeticError(f"stab counts {sorted(cert.stab_counts)} disagree with the residue spectrum {sorted(residue)}")
+    return CounterexampleBundle(config, rotation, lines, cert, approximate_lines(lines))
 
 
 def verify(lines: Sequence[NonVerticalLine]) -> VerificationReport:

@@ -287,13 +287,10 @@ def _ensure_distinct(items: Sequence, what: str) -> None:
 def ensure_distinct_points(points: Sequence[Point]) -> None:
     """Raise on two equal points, naming their positions.
 
-    When every point is rational (decided once for the list) a point is keyed
-    by its reduced numerators and denominators, which avoids Fraction's
-    hash; otherwise by the point itself, so that a rational point and the
-    same point with embedded cyclotomic constants still count as equal.
+    A point is keyed by itself in either domain: a cyclotomic rational
+    constant hashes like its Fraction, so a rational point and the same point
+    with embedded cyclotomic constants count as equal.
     """
-    if all(isinstance(p.x, Fraction) for p in points):
-        points = [(p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator) for p in points]
     _ensure_distinct(points, "point")
 
 

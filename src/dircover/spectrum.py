@@ -206,13 +206,10 @@ def spectrum(points: Sequence[Point]) -> SpectrumReport:
 def vertical_class_count(points: Sequence[Point]) -> int:
     """Number of distinct x-coordinates: the cover count of the vertical direction.
 
-    As in :func:`geometry.ensure_distinct_points`, when every point is rational
-    (decided once for the list) an x is keyed by its reduced numerator and
-    denominator, not by Fraction's hash; otherwise by its value, so a rational
-    x and the same constant in a cyclotomic field count once.
+    An x is keyed by its value in either domain, as in
+    :func:`geometry.ensure_distinct_points`, so a rational x and the same
+    constant in a cyclotomic field count once.
     """
-    if all(isinstance(p.x, Fraction) for p in points):
-        return len({(p.x.numerator, p.x.denominator) for p in points})
     return len({p.x for p in points})
 
 

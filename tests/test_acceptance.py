@@ -39,10 +39,18 @@ def criterion(num, name):
     print(f"ACCEPTANCE {num:2d} {name}: PASS")
 
 
+# Every n up to 64 in both variants, and a sample across residues mod 4 and the extremes of phi(lcm(4, n)).
+FAMILIES = (
+    [(n, "plain") for n in range(7, 65)]
+    + [(n, "center") for n in range(7, 65, 2)]
+    + [(n, "plain") for n in (96, 99, 150, 151, 200, 201, 300)]
+)
+
+
 @pytest.fixture(scope="module")
 def bundles():
     t0 = time.perf_counter()
-    built = {n: construct(n) for n in range(7, 25)}
+    built = {family: construct(*family) for family in FAMILIES}
     return built, time.perf_counter() - t0
 
 
@@ -57,17 +65,22 @@ def test_01_heptagon_reproduction():
 
 
 def test_02_theorem_reproduction(bundles):
-    with criterion(2, "theorem reproduction for n in 7..24"):
+    with criterion(2, "theorem reproduction for n in 7..64, both variants, and a sample up to 300"):
         built, build_time = bundles
+        assert len(built) == 94
         t0 = time.perf_counter()
-        for n, bundle in built.items():
+        for family, bundle in built.items():
+            n = bundle.n
             report = verify(bundle.lines)
-            assert report.pairwise_nonparallel, n
-            assert report.nonconcurrent, n
-            assert not report.stab_counts & {n - 1, n - 2}, n
-            assert report.verdict == "pass", n
+            assert report.pairwise_nonparallel, family
+            assert report.nonconcurrent, family
+            if family == (7, "center"):  # hexagon plus center: {3, 5, 7} holds n - 2, and the certificate says so
+                assert report.stab_counts & {n - 1, n - 2} and report.verdict == "fail"
+            else:
+                assert not report.stab_counts & {n - 1, n - 2}, family
+                assert report.verdict == "pass", family
             # spectrum transport: the family's stab set is the polygon's spectrum
-            assert report.stab_counts == polygon_spectrum_enumerated(bundle.config), n
+            assert report.stab_counts == polygon_spectrum_enumerated(bundle.config), family
         assert build_time + time.perf_counter() - t0 < 60.0
 
 
@@ -159,7 +172,8 @@ def test_08_pinchasi_bound():
 def test_09_float_crosscheck(bundles):
     with criterion(9, "float cross-check"):
         built, _ = bundles
-        for n, bundle in built.items():
+        for n in range(7, 25):
+            bundle = built[n, "plain"]
             counts, inconclusive = float_crosscheck(bundle.lines)
             assert not inconclusive, n
             assert counts == bundle.certificate.stab_counts, n

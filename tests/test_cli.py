@@ -181,6 +181,12 @@ class TestPolygonCommand:
         assert main(["polygon", "--n", "2001"]) == 2
         assert capsys.readouterr().err == "error: polygon supports n <= 2000, got 2001\n"
 
+    def test_closed_form_disagreement_is_an_internal_error(self, monkeypatch, capsys):
+        monkeypatch.setattr("dircover.polygon.polygon_spectrum_closed_form", lambda cfg: frozenset({1, 2}))
+        assert main(["polygon", "--n", "13"]) == 1
+        err = "internal error: closed form disagrees with enumeration ([1, 2] vs [7, 13])\n"
+        assert capsys.readouterr() == ("", err)
+
 
 class TestCounterexampleAndVerify:
     def test_build_verify_cycle(self, tmp_path, capsys):
@@ -218,6 +224,13 @@ class TestCounterexampleAndVerify:
 
     def test_n_below_gate(self, capsys):
         assert main(["counterexample", "--n", "5"]) == 2
+
+    def test_residue_mismatch_is_an_internal_error(self, monkeypatch, capsys):
+        # construct checks its certificate against the residue spectrum, and prints no certificate when they differ.
+        monkeypatch.setattr("dircover.counterexample.polygon_spectrum_enumerated", lambda cfg: frozenset({cfg.total}))
+        assert main(["counterexample", "--n", "9"]) == 1
+        err = "internal error: stab counts [5, 9] disagree with the residue spectrum [9]\n"
+        assert capsys.readouterr() == ("", err)
 
     def test_unwritable_out_is_io_error(self, tmp_path, capsys, monkeypatch):
         def no_field_work(*args, **kwargs):

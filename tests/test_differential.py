@@ -25,7 +25,8 @@ all in one bucket, must agree too.  On such pairs the folded cross product
 F that the exactness proof bounds must stay inside the width the points
 were packed at, and vanish exactly when the packed remainder modulo
 Phi_m(2**k) does.  A packed test made to pass every chord (modulus 1)
-must be caught by the field re-check of each class's first absorbed chord.
+must be caught by the field re-check of each class's first absorbed chord,
+and ``verify`` must then end as an internal error, with no traceback.
 Hostile bundles, a 32-digit rotation and 30-digit noise, take the field
 path and verify within seconds.
 
@@ -64,6 +65,7 @@ import importlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -83,6 +85,7 @@ from dircover.counterexample import (
     verify,
     write_bundle,
 )
+from dircover.cli import main
 from dircover.errors import DegenerateInputError, OrderMismatchError
 from dircover import geometry
 from dircover.field import CycloElement, _real_bounds, cyclotomic_poly, euler_phi, residue_primes
@@ -653,6 +656,19 @@ def test_packed_test_that_disagrees_with_the_field_raises(monkeypatch):
     monkeypatch.setattr(KERNEL, "_packed_coordinates", lambda *args: (*true_packing(*args)[:3], 1))
     with pytest.raises(ArithmeticError, match=r"packed parallel test at k = \d+ disagrees with the field"):
         pair_directions(polygon(12))
+
+
+def test_packed_disagreement_ends_verify_as_an_internal_error(monkeypatch, tmp_path, capsys):
+    # The same lie, reached through the CLI: main reports it, exit 1, no traceback, no report.
+    path = tmp_path / "b24.json"
+    write_bundle(construct(24), path)
+    true_packing = KERNEL._packed_coordinates
+    monkeypatch.setattr(KERNEL, "_slope_key", lambda *_: lambda i, j: 0)
+    monkeypatch.setattr(KERNEL, "_packed_coordinates", lambda *args: (*true_packing(*args)[:3], 1))
+    assert main(["verify", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"internal error: packed parallel test at k = \d+ disagrees with the field\n", err)
 
 
 def test_packed_width_is_exact_at_its_bound():
