@@ -15,6 +15,7 @@ and ``spectrum``.  Only the polygon commands load the cyclotomic ``field``:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import DegenerateInputError, DirCoverError, ParseError
@@ -199,13 +200,19 @@ def cmd_counterexample(args) -> int:
     from .counterexample import bundle_to_json, construct, family_config, write_bundle
     from .geometry import format_rational
 
+    new = args.out and not os.path.lexists(args.out)
     if args.out:  # refuse a bad family or path before any field work; "a" truncates nothing
         family_config(args.n, args.variant)
         open(args.out, "a", encoding="utf-8").close()
-    bundle = construct(args.n, variant=args.variant)
+    try:
+        bundle = construct(args.n, variant=args.variant)
+        if args.out:
+            write_bundle(bundle, args.out)
+    except BaseException:
+        if new:  # a failed run leaves no file where there was none
+            os.remove(args.out)
+        raise
     cert = bundle.certificate
-    if args.out:
-        write_bundle(bundle, args.out)
     if args.json:
         import json
 

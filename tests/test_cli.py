@@ -2,8 +2,10 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -251,6 +253,17 @@ class TestCounterexampleAndVerify:
         assert main(["counterexample", *argv, "--out", str(new)]) == 2
         assert old.read_text() == "kept\n" and not new.exists()
 
+    def test_failed_run_leaves_out_as_it_found_it(self, tmp_path, capsys, monkeypatch):
+        # The internal error of test_residue_mismatch_is_an_internal_error, raised after --out was opened.
+        monkeypatch.setattr("dircover.counterexample.polygon_spectrum_enumerated", lambda cfg: frozenset({cfg.total}))
+        old = tmp_path / "old.json"
+        old.write_bytes(b"kept\n")
+        new = tmp_path / "new.json"
+        assert main(["counterexample", "--n", "9", "--out", str(old)]) == 1
+        assert main(["counterexample", "--n", "9", "--out", str(new)]) == 1
+        assert old.read_bytes() == b"kept\n" and not new.exists()
+        assert capsys.readouterr().err.count("internal error: ") == 2
+
 
 @pytest.mark.parametrize(
     "command, n",
@@ -329,6 +342,82 @@ def test_verify_reports_unreadable_bundles(tmp_path, capsys, case):
         message = f"{path}: malformed bundle document (a bundle is a JSON object)"
     assert main(["verify", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+LONG = "@@long@@"  # a JSON string that _bundle_mutants replaces by a 4000- or 5000-digit token after encoding
+
+
+def _bundle_mutants(doc, rng, count):
+    """``count`` JSON texts of ``doc``, each with one seeded change: a wrong type, a deleted key, a bad ratio or a long token."""
+    wrong = [None, True, False, 0, -7, 2.5, "x", "", [], {}, [[]], {"a": 1}, "3/2", 10**6]
+    ratios = ["1/0", "0.5", "1/-2", "-0", "3/6", "1e3", "+1", " 7 ", "1//2", "\u0663", "0x10", "1_0", "-", "/", "7/3"]
+    longs = ['"' + "7" * 5000 + '"', "7" * 5000, '"1/' + "3" * 5000 + '"', '"' + "9" * 4000 + '"', "-" + "8" * 4000]
+
+    def paths(node, path=()):
+        yield path
+        children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+        for key, child in children:
+            yield from paths(child, (*path, key))
+
+    every = list(paths(doc))
+    tokens = [p for p in every if p[:1] == ("lines",) and len(p) == 4 or p[:1] == ("rotation",) and len(p) == 2]
+    for _ in range(count):
+        mutant = json.loads(json.dumps(doc))
+        kind = rng.choice(["type", "delete", "ratio", "long"])
+        path = rng.choice(tokens if kind == "ratio" else every[kind == "delete":])  # every[0] is the document
+        value = LONG if kind == "long" else rng.choice(ratios if kind == "ratio" else wrong)
+        if not path:
+            mutant = value
+        else:
+            parent = mutant
+            for key in path[:-1]:
+                parent = parent[key]
+            if kind == "delete":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        yield kind, path, json.dumps(mutant).replace(f'"{LONG}"', rng.choice(longs))
+
+
+def _points_texts(rng, count):
+    """``count`` small seeded points files: mostly small rationals, so duplicates and collinear rows occur, and bad rows."""
+    bad = ["1/0", "x", "0.5", "1 2 3", "7", "#", "7" * 5000 + " 1", "1/" + "3" * 5000 + " 0", "\u0663 1"]
+    for _ in range(count):
+        rows = []
+        for _ in range(rng.randint(0, 12)):
+            if rng.random() < 0.05:
+                rows.append(rng.choice(bad))
+            elif rng.random() < 0.05:
+                rows.append(f"{'9' * 4000} {rng.randint(-3, 3)}")
+            else:
+                rows.append(" ".join(f"{rng.randint(-3, 3)}/{rng.randint(1, 3)}" for _ in "xy"))
+        yield "\n".join(rows) + "\n"
+
+
+def test_seeded_mutations_end_in_an_exit_code(tmp_path, capsys):
+    # Every mutated bundle and random file ends in an exit code of the CLI, quickly, with no exception out of main.
+    from dircover.counterexample import bundle_to_json, construct
+
+    rng = random.Random(12)
+    cases = []
+    for i, (kind, path, text) in enumerate(_bundle_mutants(bundle_to_json(construct(9)), rng, 150)):
+        (tmp_path / f"b{i}.json").write_text(text)
+        cases.append((f"bundle {kind} at {path}", ["verify", str(tmp_path / f"b{i}.json")]))
+    commands = [["spectrum"], ["spectrum", "--json"], ["stab"], ["dualize", "points"], ["dualize", "lines"]]
+    for i, text in enumerate(_points_texts(rng, 150)):
+        (tmp_path / f"p{i}.txt").write_text(text)
+        cases += [(f"file p{i}", [*argv, str(tmp_path / f"p{i}.txt")]) for argv in commands]
+    codes = set()
+    for label, argv in cases:
+        start = time.perf_counter()
+        try:
+            code = main(argv)
+        except BaseException as exc:
+            pytest.fail(f"{label}: {argv[0]} raised {type(exc).__name__}: {exc}")
+        assert code in (0, 1, 2, 3) and time.perf_counter() - start < 2, (label, code)
+        codes.add(code)
+    capsys.readouterr()
+    assert {0, 2, 3} <= codes  # the draws reach output, refusal and degenerate input
 
 
 class TestCheckCommand:

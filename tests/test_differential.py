@@ -706,6 +706,16 @@ def test_hostile_bundles_keep_the_field_scan(which, verdict, tmp_path):
     assert done.returncode == verdict and "Traceback" not in done.stderr
 
 
+def test_gate_refuses_tall_coordinates_before_taking_their_common_denominator():
+    # 600 order-12 vectors, each a 3322-bit numerator over its own odd 3322-bit denominator: the
+    # lcm of the denominators alone takes seconds, so the first pass must refuse without it.
+    rng = random.Random(12)
+    vectors = [((rng.getrandbits(3321) | 1 << 3321, 0, 0, 0), rng.getrandbits(3322) | 1) for _ in range(600)]
+    start = time.perf_counter()
+    assert KERNEL._packed_coordinates(vectors, 12) is None
+    assert time.perf_counter() - start < 1
+
+
 def affine_polygon(m):
     """(cos 2*pi*k/m, cos 2*pi*(k+1)/m) for k < m: an invertible linear image of the regular m-gon, in Q(zeta_m)."""
     c = [(zeta(m, k) + zeta(m, -k)) * Fraction(1, 2) for k in range(m + 1)]

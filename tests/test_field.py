@@ -20,6 +20,7 @@ from dircover.field import (
     _cos_table,
     _cyclotomic_terms,
     _decimal,
+    _divisor_product,
     _real_bounds,
     _reduce_mod_cyclo,
     approx_str,
@@ -55,13 +56,19 @@ class TestCyclotomicPoly:
         assert tuple(reversed(quotient_desc)) == (1, 1, 1, 1, 1, 1, 1)
         assert cyclotomic_poly(7) == (1, 1, 1, 1, 1, 1, 1)
 
-    # After 1..36: prime powers, orders with many primes, and the largest fields a command builds,
-    # counterexample --n 300 in Q(zeta_1196) and polygon --n 997 and --n 1999 in Q(zeta_3988), Q(zeta_7996).
-    @pytest.mark.parametrize("n", list(range(1, 37)) + [1024, 2187, 3125, 2310, 4620, 1196, 3988, 7996])
+    # After 1..60: prime powers, orders with many primes, and fields the commands build: polygon --n 151
+    # and --n 1200 in Q(zeta_604) and Q(zeta_1200), counterexample --n 299 in Q(zeta_1196), and the
+    # largest, polygon --n 997 and --n 1999 in Q(zeta_3988) and Q(zeta_7996).
+    @pytest.mark.parametrize("n", list(range(1, 61)) + [1024, 2187, 3125, 2310, 4620, 604, 1196, 1200, 3988, 7996])
     def test_matches_sympy(self, n):
+        # Also the cofactor Q = (x^n - 1) / Phi_n whose 1-norm sets the packed width: the series of
+        # 1 / Phi_n, which is -Q for n > 1 (and Q at n = 1), through the routine that builds Phi_n.
         x = sympy.symbols("x")
-        expected = tuple(int(c) for c in reversed(sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()))
+        phi_n = sympy.Poly(sympy.cyclotomic_poly(n, x), x)
+        expected = tuple(int(c) for c in reversed(phi_n.all_coeffs()))
         assert cyclotomic_poly(n) == expected
+        q = [int(c) for c in reversed(sympy.Poly(x**n - 1, x).exquo(phi_n).all_coeffs())]
+        assert _divisor_product(n, n - euler_phi(n), -1) == (q if n == 1 else [-c for c in q])
 
     @pytest.mark.parametrize("n", [7996, 30030])
     def test_large_orders_are_fast(self, n):
