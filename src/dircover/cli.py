@@ -9,14 +9,20 @@ Each command imports only the dircover modules it calls: ``dualize`` loads
 ``spectrum``, and ``check`` ``checks``, ``geometry``, ``oracle``, ``randgen``
 and ``spectrum``.  Only the polygon commands load the cyclotomic ``field``:
 ``polygon`` with ``geometry`` and ``polygon``, ``counterexample`` and
-``verify`` with those, ``spectrum`` and ``counterexample``.
+``verify`` with those, ``spectrum`` and ``counterexample``.  ``json`` loads
+for ``--json`` and for the bundle commands.
+
+One table, ``_COMMANDS``, holds every command's arguments.  A plain
+invocation (see :func:`_plain_args`) is parsed straight from it; only help
+and usage errors build the argparse parser from it, so only they load
+``argparse`` and the ``gettext`` and ``locale`` modules that it loads.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from .errors import DegenerateInputError, DirCoverError, ParseError
 
@@ -34,6 +40,8 @@ bound on coefficient height before it is raised.
 
 def _positive_int(text: str) -> int:
     if not text.isdigit() or int(text) < 1:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 
@@ -285,57 +293,110 @@ def cmd_check(args) -> int:
     return 0 if rep.ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+_JSON = ("--json", {"action": "store_true", "help": "machine-readable output"})
+
+# One row per command: its help line, its function, and its arguments as
+# (name, argparse keywords) in the order the help lists them, _JSON first
+# where the command takes --json.  build_parser and _plain_args both read
+# the arguments from here.
+_COMMANDS = {
+    "spectrum": ("direction-cover spectrum of a points file", cmd_spectrum, (_JSON, ("file", {}))),
+    "stab": ("vertical stab count set of a lines file", cmd_stab, (_JSON, ("file", {}))),
+    "dualize": ("map a points file to its dual lines file or back", cmd_dualize, (
+        ("kind", {"choices": ["points", "lines"], "help": "what the input file contains"}),
+        ("input", {}),
+        ("output", {"nargs": "?", "default": None}),
+    )),
+    "polygon": ("regular polygon spectra and exact coordinates", cmd_polygon, (
+        _JSON,
+        ("--n", {"type": int, "required": True, "help": "vertex count (>= 3)"}),
+        ("--center", {"action": "store_true", "help": "include the circle center"}),
+    )),
+    "counterexample": ("build and certify an n-line family", cmd_counterexample, (
+        _JSON,
+        ("--n", {"type": int, "required": True, "help": "number of lines (>= 7)"}),
+        ("--variant", {"choices": ["plain", "center"], "default": "plain"}),
+        ("--out", {"default": None, "help": "write the bundle JSON to this file"}),
+    )),
+    "verify": ("re-check a bundle file", cmd_verify, (("file", {}),)),
+    "check": ("randomized property suites", cmd_check, (
+        _JSON,
+        ("suite", {"choices": ["duality", "pinchasi", "affine", "oracle"]}),
+        ("--seed", {"type": int, "default": 42, "help": "RNG seed"}),
+        ("--trials", {"type": _positive_int, "help": "trial count (default per suite)"}),
+        ("--size", {"type": _positive_int, "help": "points per set (affine, oracle; default 6)"}),
+        ("--bound", {"type": _positive_int, "help": "coordinate magnitude bound"}),
+    )),
+}
+
+
+def build_parser():
+    """The argparse parser of every command: it alone prints help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="dircover",
         description="Exact direction-cover spectra, point-line duality, and certified line families.",
     )
-    json_out = argparse.ArgumentParser(add_help=False)
-    json_out.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", parents=[json_out], help="direction-cover spectrum of a points file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("stab", parents=[json_out], help="vertical stab count set of a lines file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_stab)
-
-    p = sub.add_parser("dualize", help="map a points file to its dual lines file or back")
-    p.add_argument("kind", choices=["points", "lines"], help="what the input file contains")
-    p.add_argument("input")
-    p.add_argument("output", nargs="?", default=None)
-    p.set_defaults(func=cmd_dualize)
-
-    p = sub.add_parser("polygon", parents=[json_out], help="regular polygon spectra and exact coordinates")
-    p.add_argument("--n", type=int, required=True, help="vertex count (>= 3)")
-    p.add_argument("--center", action="store_true", help="include the circle center")
-    p.set_defaults(func=cmd_polygon)
-
-    p = sub.add_parser("counterexample", parents=[json_out], help="build and certify an n-line family")
-    p.add_argument("--n", type=int, required=True, help="number of lines (>= 7)")
-    p.add_argument("--variant", choices=["plain", "center"], default="plain")
-    p.add_argument("--out", default=None, help="write the bundle JSON to this file")
-    p.set_defaults(func=cmd_counterexample)
-
-    p = sub.add_parser("verify", help="re-check a bundle file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("check", parents=[json_out], help="randomized property suites")
-    p.add_argument("suite", choices=["duality", "pinchasi", "affine", "oracle"])
-    p.add_argument("--seed", type=int, default=42, help="RNG seed")
-    p.add_argument("--trials", type=_positive_int, help="trial count (default per suite)")
-    p.add_argument("--size", type=_positive_int, help="points per set (affine, oracle; default 6)")
-    p.add_argument("--bound", type=_positive_int, help="coordinate magnitude bound")
-    p.set_defaults(func=cmd_check)
-
+    for command, (help_line, func, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for name, keywords in arguments:
+            p.add_argument(name, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
+def _plain_args(argv: list):
+    """The namespace ``build_parser().parse_args(argv)`` returns, for a plain ``argv``; else None.
+
+    Plain means: an exact command name, then that command's exact option
+    names and positionals in any order.  A flag sets True; a valued option
+    takes the next token, which must not start with ``-``; a repeated option
+    keeps its last value; a positional must not start with ``-``.  Every
+    value, a repeated option's first ones too, goes through its argument's
+    ``type`` and ``choices``, and every required option and positional must
+    be there.  Anything else (help, an abbreviation, ``--opt=value``, a
+    negative number, ``--``, a value its ``type`` refuses, a missing or extra
+    token) returns None, so that argparse parses it and writes the same help
+    or usage error as ever.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, arguments = _COMMANDS[argv[0]]
+    spec = dict(arguments)
+    options = {name for name in spec if name.startswith("-")}
+    waiting = iter([name for name in spec if name not in options])  # the positionals, in order
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in options and spec[token].get("action"):
+            values[token] = True
+            continue
+        name, text = (token, next(tokens, "-")) if token in options else (next(waiting, None), token)
+        if name is None or text.startswith("-"):  # an extra positional, an unknown option or a missing value
+            return None
+        try:  # each value as argparse takes it, a repeated option's too
+            value = spec[name].get("type", str)(text)
+        except Exception:  # argparse calls the type again and reports or re-raises what it raises
+            return None
+        if "choices" in spec[name] and value not in spec[name]["choices"]:
+            return None
+        values[name] = value
+    args = SimpleNamespace(command=argv[0], func=func)
+    for name, keywords in arguments:
+        if name not in values:
+            if keywords.get("required") or not (name in options or keywords.get("nargs") == "?"):
+                return None
+            values[name] = False if keywords.get("action") else keywords.get("default")
+        setattr(args, name.lstrip("-"), values[name])
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DegenerateInputError as exc:
